@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 
 #include "common/error.h"
 
@@ -68,6 +69,19 @@ inline std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t see
     for (int b = 0; b < 8; ++b) crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
   }
   return ~crc;
+}
+
+/// FNV-1a 64-bit offset basis: the seed of a fresh hash.
+inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ull;
+
+/// FNV-1a (64-bit) over `data`, chainable by passing a previous result as
+/// `h`. Keys the sweep result cache, shard ownership and the grid hash.
+constexpr std::uint64_t fnv1a(std::string_view data, std::uint64_t h = kFnv1aBasis) {
+  for (const char c : data) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
 }
 
 }  // namespace indexmac

@@ -16,6 +16,13 @@ class SimError : public std::runtime_error {
   explicit SimError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// A malformed command-line value: tools report it and exit with their
+/// usage status (2) rather than as a simulation failure.
+class UsageError : public SimError {
+ public:
+  using SimError::SimError;
+};
+
 [[noreturn]] inline void raise(const std::string& what) { throw SimError(what); }
 
 }  // namespace indexmac

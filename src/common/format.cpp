@@ -75,6 +75,19 @@ double parse_double(const std::string& text, const char* what) {
   return value;
 }
 
+std::uint64_t parse_uint(const std::string& text, const char* what, std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc{} || ptr != last || value > max)
+    throw UsageError(std::string(what) + " expects an unsigned integer" +
+                     (max < std::numeric_limits<std::uint64_t>::max()
+                          ? " <= " + std::to_string(max)
+                          : std::string()) +
+                     ", got \"" + text + "\"");
+  return value;
+}
+
 std::string fmt_speedup(double v) { return fmt_fixed(v, 2) + "x"; }
 
 std::string fmt_count(std::uint64_t v) {

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,13 @@ class TextTable {
 /// whole of `text` must be one finite-syntax C-locale number. Throws
 /// SimError naming `what` on empty, partial, or malformed input.
 [[nodiscard]] double parse_double(const std::string& text, const char* what);
+
+/// Strict full-string unsigned decimal parse: `text` must be digits only
+/// (no sign, whitespace or suffix) and at most `max`. Throws UsageError
+/// naming `what` and the bound otherwise.
+[[nodiscard]] std::uint64_t parse_uint(
+    const std::string& text, const char* what,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 /// Formats "1.95x"-style speedup cells.
 [[nodiscard]] std::string fmt_speedup(double v);

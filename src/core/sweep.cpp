@@ -5,6 +5,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "common/bitutil.h"
 #include "common/error.h"
 #include "common/format.h"
 #include "common/json.h"
@@ -73,14 +74,6 @@ void apply_processor_override(timing::ProcessorConfig& p, const std::string& key
   else if (key == "memory.dram_latency") p.memory.dram_latency = u;
   else if (key == "memory.dram_line_occupancy") p.memory.dram_line_occupancy = u;
   else raise("unknown processor override \"" + key + "\"");
-}
-
-std::uint64_t fnv1a(const std::string& data, std::uint64_t h = 0xcbf29ce484222325ull) {
-  for (const char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
 }
 
 void append_cache(std::string& out, const CacheConfig& c) {
@@ -154,7 +147,7 @@ SweepSpec parse_sweep_spec(const std::string& json_text) {
   spec.name = doc.at("name").as_string();
   spec.suites = string_list(doc.at("workloads"), "workloads");
   for (const std::string& s : spec.suites)
-    (void)workloads::suite(s);  // unknown suites fail at parse time
+    (void)workloads::model_graph(s);  // unknown suites fail at parse time
 
   if (const JsonValue* v = doc.get("sparsities")) {
     spec.sparsities.clear();
@@ -234,11 +227,11 @@ std::string SweepPoint::cache_key(const SweepSpec& spec) const {
 std::vector<SweepPoint> expand_sweep(const SweepSpec& spec) {
   std::vector<SweepPoint> out;
   for (const std::string& suite_name : spec.suites) {
-    const workloads::Suite& s = workloads::suite(suite_name);
+    const workloads::ModelGraph& graph = workloads::model_graph(suite_name);
     const std::vector<sparse::Sparsity>& sparsities =
-        spec.sparsities.empty() ? s.sparsities : spec.sparsities;
+        spec.sparsities.empty() ? graph.default_sparsities : spec.sparsities;
     for (const sparse::Sparsity sp : sparsities)
-      for (const workloads::Workload& w : s.workloads)
+      for (const workloads::LayerRecord& layer : graph.layers)
         for (const Algorithm alg : spec.algorithms)
           for (const kernels::Dataflow df : spec.dataflows)
             for (const unsigned unroll : spec.unrolls)
@@ -251,10 +244,10 @@ std::vector<SweepPoint> expand_sweep(const SweepSpec& spec) {
                 if (!AlgorithmRegistry::instance().by_algorithm(alg).supports(df, unroll))
                   continue;
                 SweepPoint p;
-                p.suite = s.name;
-                p.workload = w.name;
-                p.count = w.count;
-                p.dims = w.dims;
+                p.suite = graph.name;
+                p.workload = layer.name;
+                p.count = layer.repeat;
+                p.dims = layer.gemm;
                 p.sp = sp;
                 p.config.algorithm = alg;
                 p.config.kernel.unroll = unroll;
@@ -291,7 +284,7 @@ std::vector<std::string> grid_keys(const SweepSpec& spec, const std::vector<Swee
 }
 
 std::uint64_t grid_hash(const std::vector<std::string>& keys) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
+  std::uint64_t hash = kFnv1aBasis;
   for (const std::string& key : keys) hash = fnv1a(key, hash);
   return hash;
 }
@@ -349,23 +342,19 @@ SweepReport run_sweep(const SweepSpec& spec, const std::vector<SweepPoint>& poin
 
   // One job per unique cache key; duplicate points (identical shapes under
   // a different workload name, repeated grid cells) share the measurement.
-  std::vector<std::string> keys;
-  keys.reserve(points.size());
+  const std::vector<std::string> keys = grid_keys(spec, points);
+  report.spec_hash = grid_hash(keys);
   std::unordered_map<std::string, std::size_t> job_of_key;
   std::vector<BatchJob> jobs;
   std::vector<std::string> job_keys;
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (const SweepPoint& p : points) {
-    keys.push_back(p.cache_key(spec));
-    hash = fnv1a(keys.back(), hash);
-    const std::string& key = keys.back();
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const std::string& key = keys[i];
     if (job_of_key.count(key) != 0) continue;
     if (cache != nullptr && cache->find(key) != nullptr) continue;
     job_of_key.emplace(key, jobs.size());
-    jobs.push_back(point_job(spec, p));
+    jobs.push_back(point_job(spec, points[i]));
     job_keys.push_back(key);
   }
-  report.spec_hash = hash;
 
   // Results enter the cache (and, through an attached store, the on-disk
   // journal) from the worker threads the moment each measurement finishes,
@@ -466,22 +455,20 @@ SweepReport assemble_report(const SweepSpec& spec,
                             const std::map<std::string, StoredResult>& merged) {
   SweepReport report;
   report.spec_name = spec.name;
-  std::uint64_t hash = 0xcbf29ce484222325ull;
   const std::vector<SweepPoint> points = expand_sweep(spec);
+  const std::vector<std::string> keys = grid_keys(spec, points);
   report.rows.reserve(points.size());
-  for (const SweepPoint& p : points) {
-    const std::string key = p.cache_key(spec);
-    hash = fnv1a(key, hash);
-    const auto it = merged.find(key);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const auto it = merged.find(keys[i]);
     IMAC_CHECK(it != merged.end(), "merge: shards do not cover the full grid; first missing "
-                                   "point is " + p.workload + " \"" + key + "\"");
+                                   "point is " + points[i].workload + " \"" + keys[i] + "\"");
     SweepRow row;
-    row.point = p;
+    row.point = points[i];
     row.cycles = it->second.cycles;
     row.data_accesses = it->second.data_accesses;
     report.rows.push_back(std::move(row));
   }
-  report.spec_hash = hash;
+  report.spec_hash = grid_hash(keys);
   return report;
 }
 

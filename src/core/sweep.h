@@ -83,8 +83,8 @@ struct SweepPoint {
 
   /// Canonical serialization of everything the measurement depends on
   /// (shape, sparsity, kernel config, mode, seed/sample controls, processor
-  /// digest) — the result-cache key. Suite/workload names are deliberately
-  /// excluded: identical shapes share one simulation.
+  /// digest) — the result-cache key. The suite and workload names are
+  /// deliberately excluded: identical shapes share one simulation.
   [[nodiscard]] std::string cache_key(const SweepSpec& spec) const;
 };
 

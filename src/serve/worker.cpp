@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/bitutil.h"
 #include "common/error.h"
 #include "core/sweep.h"
 #include "serve/net.h"
@@ -22,15 +23,6 @@ using core::SweepPoint;
 using core::SweepSpec;
 
 constexpr int kExchangeTimeoutMs = 10000;  ///< daemon replies immediately
-
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 bool stop_requested(const WorkerOptions& opts) {
   return opts.stop != nullptr && opts.stop->load(std::memory_order_relaxed);

@@ -19,7 +19,7 @@
 //     stalling dependent scalar work - the round trip both algorithms pay
 //     per non-zero (twice for Row-Wise-SpMM, once for vindexmac).
 //
-// See DESIGN.md section 4 for the list of deliberate simplifications.
+// See docs/simplifications.md for the deliberate simplifications.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,7 @@
 // functional simulator, which supplies the correct execution path, memory
 // addresses, vector lengths and resolved vindexmac register indices.
 // Wrong-path (mis-speculated) instructions are not simulated; the branch
-// mispredict penalty models the front-end refill (see DESIGN.md).
+// mispredict penalty models the front-end refill (see docs/simplifications.md).
 //
 // The trace is zero-allocation: next() fills a caller-owned DynInst slot in
 // place, and gather addresses live in a fixed scratch buffer owned by the

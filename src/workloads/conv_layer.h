@@ -11,7 +11,7 @@
 #include "common/error.h"
 #include "kernels/layout.h"
 
-namespace indexmac::cnn {
+namespace indexmac::workloads {
 
 /// One convolution layer (batch 1). Non-square kernels (Inception's 1x7 /
 /// 7x1) carry separate h/w geometry.
@@ -52,23 +52,12 @@ struct ConvLayer {
   }
 };
 
-/// A whole network: conv layers in execution order.
+/// A whole network: every conv layer in execution order (graph_from_cnn
+/// in model_ir.h folds it into the registry's deduplicated layer list).
 struct CnnModel {
   std::string name;
   std::vector<ConvLayer> layers;
 };
-
-/// One unique GEMM shape with its multiplicity in the network. Layers with
-/// identical GEMM dimensions cost the same simulated time, so experiments
-/// run each shape once and weight by count.
-struct LayerGemm {
-  ConvLayer representative;
-  kernels::GemmDims dims;
-  unsigned count = 1;
-};
-
-/// Groups a model's layers by GEMM shape, preserving first-occurrence order.
-[[nodiscard]] std::vector<LayerGemm> unique_gemms(const CnnModel& model);
 
 /// The three CNNs of the paper's evaluation (ImageNet geometry).
 [[nodiscard]] CnnModel resnet50();      ///< 53 conv layers, 224x224 input
@@ -81,4 +70,4 @@ struct LayerGemm {
 /// per-channel filters; identical MAC count to the real grouped conv).
 [[nodiscard]] CnnModel mobilenetv1();   ///< 27 conv layers
 
-}  // namespace indexmac::cnn
+}  // namespace indexmac::workloads

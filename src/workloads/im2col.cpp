@@ -1,8 +1,8 @@
-#include "cnn/im2col.h"
+#include "workloads/im2col.h"
 
 #include <random>
 
-namespace indexmac::cnn {
+namespace indexmac::workloads {
 
 FeatureMap random_feature_map(unsigned channels, unsigned height, unsigned width,
                               std::uint32_t seed) {
@@ -72,4 +72,4 @@ FeatureMap gemm_result_to_map(const sparse::DenseMatrix<float>& c, const ConvLay
   return out;
 }
 
-}  // namespace indexmac::cnn
+}  // namespace indexmac::workloads

@@ -8,10 +8,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "cnn/conv_layer.h"
 #include "sparse/dense_matrix.h"
+#include "workloads/conv_layer.h"
 
-namespace indexmac::cnn {
+namespace indexmac::workloads {
 
 /// A CHW feature map (batch 1).
 struct FeatureMap {
@@ -58,4 +58,4 @@ struct FeatureMap {
 [[nodiscard]] FeatureMap gemm_result_to_map(const sparse::DenseMatrix<float>& c,
                                             const ConvLayer& layer);
 
-}  // namespace indexmac::cnn
+}  // namespace indexmac::workloads

@@ -3,7 +3,6 @@
 #include <cstring>
 #include <fstream>
 
-#include "cnn/conv_layer.h"
 #include "common/error.h"
 #include "common/json.h"
 #include "sparse/ellpack.h"
@@ -78,10 +77,10 @@ unsigned layer_uint(const JsonValue& layer, const char* key, const std::string& 
 
 /// Conv geometry shared by the conv and depthwise kinds. Depthwise layers
 /// use the stacked-filter proxy (in_channels == 1), matching the
-/// MobileNetV1 tables in cnn/models.cpp.
-cnn::ConvLayer conv_geometry(const JsonValue& layer, LayerKind kind, const std::string& name,
-                             const std::string& where) {
-  cnn::ConvLayer conv;
+/// MobileNetV1 tables in models.cpp.
+ConvLayer conv_geometry(const JsonValue& layer, LayerKind kind, const std::string& name,
+                        const std::string& where) {
+  ConvLayer conv;
   conv.name = name;
   conv.in_channels =
       kind == LayerKind::kDepthwise ? 1 : layer_uint(layer, "in_channels", where);
@@ -233,7 +232,7 @@ ModelGraph import_model(const std::string& dir) {
       IMAC_CHECK((layer.get("channels") != nullptr) == (kind == LayerKind::kDepthwise),
                  where + ": \"channels\" is the depthwise form; conv layers take "
                          "\"in_channels\"/\"out_channels\"");
-      const cnn::ConvLayer conv = conv_geometry(layer, kind, name, where);
+      const ConvLayer conv = conv_geometry(layer, kind, name, where);
       try {
         record.gemm = conv.gemm();
       } catch (const SimError& e) {

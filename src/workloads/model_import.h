@@ -35,7 +35,7 @@
 // kind selects the weight-to-GEMM mapping: linear / attention-proj layers
 // are [out_features x in_features] against a [in_features x tokens]
 // activation block; conv layers im2col to [out_channels x in_ch*kh*kw]
-// (cnn::ConvLayer geometry); depthwise layers use the stacked-filter proxy
+// (ConvLayer geometry); depthwise layers use the stacked-filter proxy
 // [channels x kh*kw]. "repeat" defaults to 1 and "sparsity" to the first
 // manifest sparsity.
 //

@@ -1,8 +1,9 @@
 #include "workloads/model_ir.h"
 
+#include <map>
+#include <tuple>
 #include <unordered_set>
 
-#include "cnn/conv_layer.h"
 #include "common/error.h"
 
 namespace indexmac::workloads {
@@ -75,7 +76,7 @@ void ModelGraph::validate() const {
   }
 }
 
-ModelGraph graph_from_cnn(const cnn::CnnModel& model, std::string name,
+ModelGraph graph_from_cnn(const CnnModel& model, std::string name,
                           std::string description,
                           std::vector<sparse::Sparsity> sparsities) {
   ModelGraph out;
@@ -83,14 +84,20 @@ ModelGraph graph_from_cnn(const cnn::CnnModel& model, std::string name,
   out.display_name = model.name;
   out.description = std::move(description);
   out.default_sparsities = std::move(sparsities);
-  for (const cnn::LayerGemm& layer : cnn::unique_gemms(model)) {
-    const cnn::ConvLayer& conv = layer.representative;
+  std::map<std::tuple<std::size_t, std::size_t, std::size_t>, std::size_t> index;
+  for (const ConvLayer& conv : model.layers) {
+    const kernels::GemmDims dims = conv.gemm();
+    const auto [it, first] =
+        index.try_emplace(std::make_tuple(dims.rows_a, dims.k, dims.cols_b), out.layers.size());
+    if (!first) {
+      ++out.layers[it->second].repeat;
+      continue;
+    }
     const bool depthwise = conv.in_channels == 1 && conv.kernel_h * conv.kernel_w > 1;
     LayerRecord record;
     record.name = conv.name;
     record.kind = depthwise ? LayerKind::kDepthwise : LayerKind::kConv;
-    record.gemm = layer.dims;
-    record.repeat = layer.count;
+    record.gemm = dims;
     record.sparsity = SparsityProfile::declared(out.default_sparsities.front());
     out.layers.push_back(std::move(record));
   }

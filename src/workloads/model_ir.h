@@ -1,14 +1,14 @@
-// Model IR: the typed layer graph every workload suite is derived from.
+// Model IR: the typed layer graph that represents every workload suite.
 //
 // A ModelGraph is a list of LayerRecords — conv / depthwise / linear /
 // attention-projection layers, each carrying its im2col GEMM geometry, a
 // repeat count (identical shapes cost identical simulated time, so each is
 // measured once and weighted), and a per-layer SparsityProfile that is
 // either declared (an assumed N:M pattern) or measured from the real
-// weights of an imported checkpoint. `Suite` (workloads.h) is a thin view
-// over a registered graph: sweep expansion, the benches and the CLI all
-// re-derive their GEMM lists from these records, so a model imported at
-// runtime is immediately sweepable everywhere.
+// weights of an imported checkpoint. The registry (workloads.h) holds one
+// graph per suite: sweep expansion, the benches and the CLI all read their
+// GEMM lists from these records, so a model imported at runtime is
+// immediately sweepable everywhere.
 #pragma once
 
 #include <cstdint>
@@ -17,10 +17,7 @@
 
 #include "kernels/layout.h"
 #include "sparse/nm_matrix.h"
-
-namespace indexmac::cnn {
-struct CnnModel;
-}
+#include "workloads/conv_layer.h"
 
 namespace indexmac::workloads {
 
@@ -69,8 +66,8 @@ struct LayerRecord {
   [[nodiscard]] std::uint64_t macs() const;
 };
 
-/// A whole network in execution order: the unit of registration. Every
-/// Suite is derived from one of these (see workloads::register_model).
+/// A whole network in execution order: the unit of registration (see
+/// workloads::register_model).
 struct ModelGraph {
   std::string name;          ///< registry key (lowercase, CLI-friendly)
   std::string display_name;  ///< paper-style name for tables ("ResNet50")
@@ -80,7 +77,7 @@ struct ModelGraph {
   std::vector<LayerRecord> layers;
   bool measured = false;  ///< true when built by the checkpoint importer
 
-  /// Count-weighted layer total (what Suite::source_layers reports).
+  /// Count-weighted layer total: the source network's layer count.
   [[nodiscard]] std::size_t layer_count() const;
 
   /// Total dense multiply-accumulates of one full pass, count-weighted.
@@ -92,11 +89,12 @@ struct ModelGraph {
   void validate() const;
 };
 
-/// Builds a graph from a CNN layer table via the im2col GEMM mapping,
-/// deduplicating identical shapes exactly like cnn::unique_gemms so the
-/// figure benches reproduce their pre-IR numbers. Depthwise proxy layers
+/// Builds a graph from a CNN layer table via the im2col GEMM mapping. Convs
+/// with identical GEMM shapes fold into one record named after the first,
+/// in first-occurrence order, with `repeat` = their multiplicity: identical
+/// shapes cost identical simulated time. Depthwise proxy layers
 /// (in_channels == 1 with a spatial kernel) are tagged kDepthwise.
-[[nodiscard]] ModelGraph graph_from_cnn(const cnn::CnnModel& model, std::string name,
+[[nodiscard]] ModelGraph graph_from_cnn(const CnnModel& model, std::string name,
                                         std::string description,
                                         std::vector<sparse::Sparsity> sparsities);
 

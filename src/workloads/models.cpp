@@ -1,12 +1,12 @@
 // Layer tables for ResNet50, DenseNet121 and InceptionV3 (standard
 // torchvision geometry, batch 1, ImageNet inputs). These reproduce the
 // workloads of the paper's evaluation; weights themselves are synthetic
-// (see DESIGN.md substitutions).
-#include <map>
+// (see docs/simplifications.md).
+#include <tuple>
 
-#include "cnn/conv_layer.h"
+#include "workloads/conv_layer.h"
 
-namespace indexmac::cnn {
+namespace indexmac::workloads {
 namespace {
 
 /// Convenience builder collecting layers while tracking feature-map state.
@@ -56,22 +56,6 @@ class Net {
 };
 
 }  // namespace
-
-std::vector<LayerGemm> unique_gemms(const CnnModel& model) {
-  std::vector<LayerGemm> out;
-  std::map<std::tuple<std::size_t, std::size_t, std::size_t>, std::size_t> index;
-  for (const ConvLayer& layer : model.layers) {
-    const kernels::GemmDims dims = layer.gemm();
-    const auto key = std::make_tuple(dims.rows_a, dims.k, dims.cols_b);
-    if (const auto it = index.find(key); it != index.end()) {
-      ++out[it->second].count;
-    } else {
-      index.emplace(key, out.size());
-      out.push_back(LayerGemm{layer, dims, 1});
-    }
-  }
-  return out;
-}
 
 CnnModel resnet50() {
   Net net(3, 224);
@@ -281,4 +265,4 @@ CnnModel inceptionv3() {
   return model;
 }
 
-}  // namespace indexmac::cnn
+}  // namespace indexmac::workloads

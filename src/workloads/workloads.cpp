@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 
-#include "cnn/conv_layer.h"
 #include "common/error.h"
 
 namespace indexmac::workloads {
@@ -96,52 +95,25 @@ ModelGraph tiny() {
   return out;
 }
 
-/// A registered model: the IR plus the Suite view derived from it.
-struct Entry {
-  ModelGraph graph;
-  Suite view;
-};
-
-/// Derives the flat Suite view of a graph and checks the registry-wide
-/// invariant that source_layers equals the count-weighted layer total.
-Suite view_of(const ModelGraph& graph) {
-  Suite out;
-  out.name = graph.name;
-  out.display_name = graph.display_name;
-  out.description = graph.description;
-  out.source_layers = graph.layer_count();
-  out.sparsities = graph.default_sparsities;
-  std::size_t weighted = 0;
-  for (const LayerRecord& layer : graph.layers) {
-    out.workloads.push_back({layer.name, layer.gemm, layer.repeat});
-    weighted += layer.repeat;
-  }
-  IMAC_CHECK(out.source_layers == weighted,
-             "suite \"" + out.name + "\" source_layers diverged from its layer records");
-  return out;
-}
-
-/// Registration store. A deque so `suite()` / `model_graph()` references
-/// survive later register_model() calls (no reallocation of entries).
-std::deque<Entry>& registry() {
-  static std::deque<Entry> entries = [] {
-    std::deque<Entry> out;
+/// Registration store. A deque so `model_graph()` references survive later
+/// register_model() calls (no reallocation of entries).
+std::deque<ModelGraph>& registry() {
+  static std::deque<ModelGraph> graphs = [] {
+    std::deque<ModelGraph> out;
     auto add = [&out](ModelGraph graph) {
       graph.validate();
-      Entry e{std::move(graph), {}};
-      e.view = view_of(e.graph);
-      out.push_back(std::move(e));
+      out.push_back(std::move(graph));
     };
-    add(graph_from_cnn(cnn::resnet50(), "resnet50",
+    add(graph_from_cnn(resnet50(), "resnet50",
                        "ResNet50 conv GEMMs, ImageNet geometry (paper Figs. 4-6)",
                        kPaperSparsities));
-    add(graph_from_cnn(cnn::densenet121(), "densenet121",
+    add(graph_from_cnn(densenet121(), "densenet121",
                        "DenseNet121 conv GEMMs, ImageNet geometry (paper Figs. 5-6)",
                        kPaperSparsities));
-    add(graph_from_cnn(cnn::inceptionv3(), "inceptionv3",
+    add(graph_from_cnn(inceptionv3(), "inceptionv3",
                        "InceptionV3 conv GEMMs, 299x299 geometry (paper Figs. 5-6)",
                        kPaperSparsities));
-    add(graph_from_cnn(cnn::mobilenetv1(), "mobilenetv1",
+    add(graph_from_cnn(mobilenetv1(), "mobilenetv1",
                        "MobileNetV1 depthwise/pointwise GEMMs (width 1.0, 224x224)",
                        kPaperSparsities));
     add(bert_base());
@@ -150,66 +122,36 @@ std::deque<Entry>& registry() {
     add(tiny());
     return out;
   }();
-  return entries;
-}
-
-std::string known_names() {
-  std::string known;
-  for (const Entry& e : registry()) {
-    if (!known.empty()) known += ", ";
-    known += e.graph.name;
-  }
-  return known;
+  return graphs;
 }
 
 }  // namespace
 
-std::uint64_t Suite::total_macs() const {
-  std::uint64_t total = 0;
-  for (const Workload& w : workloads)
-    total += static_cast<std::uint64_t>(w.dims.rows_a) * w.dims.k * w.dims.cols_b * w.count;
-  return total;
-}
-
 std::vector<std::string> suite_names() {
   std::vector<std::string> out;
-  for (const Entry& e : registry()) out.push_back(e.graph.name);
+  for (const ModelGraph& graph : registry()) out.push_back(graph.name);
   return out;
 }
 
 bool has_suite(const std::string& name) {
-  for (const Entry& e : registry())
-    if (e.graph.name == name) return true;
+  for (const ModelGraph& graph : registry())
+    if (graph.name == name) return true;
   return false;
 }
 
-const Suite& suite(const std::string& name) {
-  for (const Entry& e : registry())
-    if (e.view.name == name) return e.view;
-  raise("unknown workload suite \"" + name + "\" (known: " + known_names() + ")");
-}
-
 const ModelGraph& model_graph(const std::string& name) {
-  for (const Entry& e : registry())
-    if (e.graph.name == name) return e.graph;
-  raise("unknown workload suite \"" + name + "\" (known: " + known_names() + ")");
+  for (const ModelGraph& graph : registry())
+    if (graph.name == name) return graph;
+  std::string known;
+  for (const ModelGraph& graph : registry()) known += (known.empty() ? "" : ", ") + graph.name;
+  raise("unknown workload suite \"" + name + "\" (known: " + known + ")");
 }
 
 void register_model(ModelGraph graph) {
   graph.validate();
   IMAC_CHECK(!has_suite(graph.name),
              "model \"" + graph.name + "\" is already registered");
-  Entry e{std::move(graph), {}};
-  e.view = view_of(e.graph);
-  registry().push_back(std::move(e));
-}
-
-std::vector<WorkloadInstance> expand(const Suite& s) {
-  std::vector<WorkloadInstance> out;
-  out.reserve(s.workloads.size() * s.sparsities.size());
-  for (const sparse::Sparsity sp : s.sparsities)
-    for (const Workload& w : s.workloads) out.push_back({w, sp});
-  return out;
+  registry().push_back(std::move(graph));
 }
 
 kernels::GemmDims shrink(const kernels::GemmDims& dims, const kernels::GemmDims& cap) {

@@ -69,5 +69,14 @@ TEST(BitUtil, Crc32MatchesKnownVectors) {
   EXPECT_NE(crc32("123456789", 9), crc32("123456788", 9));
 }
 
+TEST(BitUtil, Fnv1aMatchesKnownVectors) {
+  // Reference values of 64-bit FNV-1a.
+  EXPECT_EQ(fnv1a(""), kFnv1aBasis);
+  EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ull);
+  // Chaining through `h` equals hashing the concatenation.
+  EXPECT_EQ(fnv1a("bar", fnv1a("foo")), fnv1a("foobar"));
+}
+
 }  // namespace
 }  // namespace indexmac

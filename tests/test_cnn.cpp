@@ -2,9 +2,10 @@
 // feature-map geometry, channel bookkeeping and the conv->GEMM mapping.
 #include <gtest/gtest.h>
 
-#include "cnn/conv_layer.h"
+#include "workloads/conv_layer.h"
+#include "workloads/workloads.h"
 
-namespace indexmac::cnn {
+namespace indexmac::workloads {
 namespace {
 
 TEST(ConvLayer, OutputGeometry) {
@@ -176,35 +177,44 @@ TEST(Inceptionv3, FactorizedConvIm2colMatchesHandComputation) {
   EXPECT_EQ(v->gemm().cols_b, 289u);
 }
 
-TEST(UniqueGemms, GroupsRepeatedShapes) {
-  const auto model = resnet50();
-  const auto groups = unique_gemms(model);
-  // Far fewer unique shapes than layers, and multiplicities must add up.
-  EXPECT_LT(groups.size(), model.layers.size());
-  unsigned total = 0;
-  for (const auto& g : groups) total += g.count;
-  EXPECT_EQ(total, model.layers.size());
+TEST(GraphFromCnn, GroupsRepeatedShapes) {
+  const ModelGraph& graph = model_graph("resnet50");
+  // Far fewer unique shapes than layers, and repeats must add up.
+  EXPECT_LT(graph.layers.size(), resnet50().layers.size());
+  EXPECT_EQ(graph.layer_count(), resnet50().layers.size());
   // The 64->256 1x1 shape at 56x56 appears four times: the conv3 expansion
-  // of all three layer1 blocks plus the block-0 projection shortcut.
+  // of all three layer1 blocks plus the block-0 projection shortcut. The
+  // record carries the first occurrence's name.
   bool found = false;
-  for (const auto& g : groups)
-    if (g.dims.rows_a == 256 && g.dims.k == 64 && g.dims.cols_b == 3136) {
-      EXPECT_EQ(g.count, 4u);
+  for (const LayerRecord& layer : graph.layers)
+    if (layer.gemm.rows_a == 256 && layer.gemm.k == 64 && layer.gemm.cols_b == 3136) {
+      EXPECT_EQ(layer.repeat, 4u);
+      EXPECT_EQ(layer.name, "layer1.0.conv3");
       found = true;
     }
   EXPECT_TRUE(found);
 }
 
-TEST(UniqueGemms, AllModelsProduceValidDims) {
-  for (const auto& model : {resnet50(), densenet121(), inceptionv3()}) {
-    for (const auto& g : unique_gemms(model)) {
-      EXPECT_GT(g.dims.rows_a, 0u) << model.name;
-      EXPECT_GT(g.dims.k, 0u) << model.name;
-      EXPECT_GT(g.dims.cols_b, 0u) << model.name;
-      EXPECT_GE(g.count, 1u) << model.name;
+TEST(GraphFromCnn, AllModelsProduceValidDims) {
+  const struct {
+    const char* suite;
+    CnnModel (*model)();
+  } cases[] = {{"resnet50", resnet50},
+               {"densenet121", densenet121},
+               {"inceptionv3", inceptionv3},
+               {"mobilenetv1", mobilenetv1}};
+  for (const auto& c : cases) {
+    const ModelGraph& graph = model_graph(c.suite);
+    // Count-weighted records cover every conv of the source table.
+    EXPECT_EQ(graph.layer_count(), c.model().layers.size()) << c.suite;
+    for (const LayerRecord& layer : graph.layers) {
+      EXPECT_GT(layer.gemm.rows_a, 0u) << c.suite;
+      EXPECT_GT(layer.gemm.k, 0u) << c.suite;
+      EXPECT_GT(layer.gemm.cols_b, 0u) << c.suite;
+      EXPECT_GE(layer.repeat, 1u) << c.suite;
     }
   }
 }
 
 }  // namespace
-}  // namespace indexmac::cnn
+}  // namespace indexmac::workloads

@@ -59,6 +59,26 @@ TEST(Format, ParseDoubleIsStrict) {
     EXPECT_THROW((void)parse_double(bad, "x"), SimError) << bad;
 }
 
+TEST(Format, ParseUintIsStrictAndBounded) {
+  EXPECT_EQ(parse_uint("0", "x"), 0u);
+  EXPECT_EQ(parse_uint("65535", "x", 65535), 65535u);
+  EXPECT_EQ(parse_uint("18446744073709551615", "x"), ~0ull);
+  for (const char* bad : {"", "abc", " 1", "1 ", "+1", "-1", "1x", "0x10", "1.0", "1e3",
+                          "18446744073709551616"})
+    EXPECT_THROW((void)parse_uint(bad, "x"), UsageError) << bad;
+  // The bound is inclusive; one past it (a port that would wrap to 1) fails.
+  EXPECT_THROW((void)parse_uint("65536", "--port", 65535), UsageError);
+  EXPECT_THROW((void)parse_uint("65537", "--port", 65535), UsageError);
+  try {
+    (void)parse_uint("abc", "--max-steps");
+    FAIL() << "expected UsageError";
+  } catch (const UsageError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--max-steps"), std::string::npos) << what;
+    EXPECT_NE(what.find("\"abc\""), std::string::npos) << what;
+  }
+}
+
 TEST(Format, NumberFormattingIgnoresCommaDecimalLocales) {
   // The golden-file byte-for-byte guarantee: under de_DE-style LC_NUMERIC
   // (',' decimal separator) the printf family drifts, fmt_* must not.

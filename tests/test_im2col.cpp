@@ -5,11 +5,11 @@
 // sparse-dense matrix multiplications").
 #include <gtest/gtest.h>
 
-#include "cnn/im2col.h"
 #include "core/spmm_problem.h"
 #include "fsim/machine.h"
+#include "workloads/im2col.h"
 
-namespace indexmac::cnn {
+namespace indexmac::workloads {
 namespace {
 
 TEST(Im2col, IdentityFor1x1Stride1) {
@@ -103,4 +103,4 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) { return info.param.layer.name; });
 
 }  // namespace
-}  // namespace indexmac::cnn
+}  // namespace indexmac::workloads

@@ -139,14 +139,14 @@ TEST(KernelRoundTrip, RegistryShapesSurviveGeneration) {
   // generators cannot encode).
   const kernels::GemmDims cap{16, 64, 48};
   for (const std::string& name : workloads::suite_names()) {
-    const workloads::Suite& suite = workloads::suite(name);
-    const std::size_t take = std::min<std::size_t>(2, suite.workloads.size());
+    const workloads::ModelGraph& graph = workloads::model_graph(name);
+    const std::size_t take = std::min<std::size_t>(2, graph.layers.size());
     for (std::size_t i = 0; i < take; ++i) {
-      const GemmDims dims = workloads::shrink(suite.workloads[i].dims, cap);
+      const GemmDims dims = workloads::shrink(graph.layers[i].gemm, cap);
       const SpmmLayout layout = layout_for(dims, sparse::kSparsity24, 16);
       KernelOptions options{.unroll = 4};
       expect_round_trip(emit_indexmac_kernel(layout, options),
-                        name + "/" + suite.workloads[i].name);
+                        name + "/" + graph.layers[i].name);
     }
   }
 }

@@ -275,10 +275,10 @@ TEST(ImportModel, RegisteredModelIsSweepable) {
   const fs::path dir = write_linear_checkpoint("import_sweep", "impsweep");
   register_model(import_model(dir.string()));
   ASSERT_TRUE(has_suite("impsweep"));
-  const Suite& view = suite("impsweep");
-  EXPECT_EQ(view.source_layers, model_graph("impsweep").layer_count());
-  ASSERT_EQ(view.workloads.size(), 1u);
-  EXPECT_EQ(view.workloads[0].count, 3u);
+  const ModelGraph& graph = model_graph("impsweep");
+  EXPECT_EQ(graph.layer_count(), 3u);
+  ASSERT_EQ(graph.layers.size(), 1u);
+  EXPECT_EQ(graph.layers[0].repeat, 3u);
 
   // Duplicate registration must be rejected (first registration wins).
   EXPECT_THROW(register_model(import_model(dir.string())), SimError);

@@ -245,7 +245,7 @@ TEST(SweepCacheKey, DistinguishesEveryKnob) {
   other.processor.vector.mac_latency += 1;
   EXPECT_NE(p.cache_key(other), base);
 
-  // Workload naming must NOT affect the key (identical shapes share runs).
+  // The workload name must NOT affect the key (identical shapes share runs).
   q = p;
   q.suite = "renamed";
   q.workload = "alias";

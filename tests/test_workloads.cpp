@@ -1,12 +1,17 @@
-// Workload registry: the suites that generalize the paper's CNN tables.
-// The CNN suites must reproduce cnn::unique_gemms exactly (the figure
-// benches rely on identical layer lists), and the transformer suites must
-// carry the documented projection shapes.
+// The workload registry: the suites that generalize the paper's CNN tables.
+// Every suite's layer list is pinned by a golden CSV (the figure benches
+// and sweeps rely on identical layer lists), and the transformer suites
+// must carry the documented projection shapes.
 #include "workloads/workloads.h"
 
 #include <gtest/gtest.h>
 
-#include "cnn/conv_layer.h"
+#include <fstream>
+#include <sstream>
+
+#ifndef INDEXMAC_GOLDEN_DIR
+#error "tests/CMakeLists.txt must define INDEXMAC_GOLDEN_DIR"
+#endif
 
 namespace indexmac::workloads {
 namespace {
@@ -18,97 +23,85 @@ TEST(Workloads, RegistryHasTheAdvertisedSuites) {
        {"resnet50", "densenet121", "inceptionv3", "mobilenetv1", "bert-base", "vit-base",
         "tiny"}) {
     EXPECT_TRUE(has_suite(name)) << name;
-    EXPECT_FALSE(suite(name).workloads.empty()) << name;
-    EXPECT_FALSE(suite(name).display_name.empty()) << name;
+    EXPECT_FALSE(model_graph(name).layers.empty()) << name;
+    EXPECT_FALSE(model_graph(name).display_name.empty()) << name;
   }
   EXPECT_GE(suite_names().size(), 4u);
   EXPECT_FALSE(has_suite("no-such-net"));
-  EXPECT_THROW((void)suite("no-such-net"), SimError);
+  EXPECT_THROW((void)model_graph("no-such-net"), SimError);
 }
 
-TEST(Workloads, CnnSuitesMatchUniqueGemms) {
-  const struct {
-    const char* suite_name;
-    cnn::CnnModel (*model)();
-  } cases[] = {{"resnet50", cnn::resnet50},
-               {"densenet121", cnn::densenet121},
-               {"inceptionv3", cnn::inceptionv3},
-               {"mobilenetv1", cnn::mobilenetv1}};
-  for (const auto& c : cases) {
-    SCOPED_TRACE(c.suite_name);
-    const Suite& s = suite(c.suite_name);
-    const cnn::CnnModel model = c.model();
-    const auto layers = cnn::unique_gemms(model);
-    EXPECT_EQ(s.source_layers, model.layers.size());
-    ASSERT_EQ(s.workloads.size(), layers.size());
-    for (std::size_t i = 0; i < layers.size(); ++i) {
-      EXPECT_EQ(s.workloads[i].name, layers[i].representative.name);
-      EXPECT_EQ(s.workloads[i].dims.rows_a, layers[i].dims.rows_a);
-      EXPECT_EQ(s.workloads[i].dims.k, layers[i].dims.k);
-      EXPECT_EQ(s.workloads[i].dims.cols_b, layers[i].dims.cols_b);
-      EXPECT_EQ(s.workloads[i].count, layers[i].count);
-    }
-    // Count-weighted shapes cover every layer of the source network.
-    std::size_t total = 0;
-    for (const Workload& w : s.workloads) total += w.count;
-    EXPECT_EQ(total, model.layers.size());
+/// One CSV row per (suite, layer) of every registered suite, in registry
+/// and layer order: the layer list the sweep engine, benches and CLI see.
+std::string render_registry_csv() {
+  std::string out = "suite,layer,kind,rows,k,cols,repeat,sparsities\n";
+  for (const std::string& name : suite_names()) {
+    const ModelGraph& graph = model_graph(name);
+    std::string sparsities;
+    for (const sparse::Sparsity sp : graph.default_sparsities)
+      sparsities += (sparsities.empty() ? "" : " ") + sparsity_label(sp);
+    for (const LayerRecord& layer : graph.layers)
+      out += name + "," + layer.name + "," + layer_kind_id(layer.kind) + "," +
+             std::to_string(layer.gemm.rows_a) + "," + std::to_string(layer.gemm.k) + "," +
+             std::to_string(layer.gemm.cols_b) + "," + std::to_string(layer.repeat) + "," +
+             sparsities + "\n";
   }
+  return out;
+}
+
+TEST(Workloads, RegistryLayersMatchGolden) {
+  // Pins every built-in suite's layer names, kinds, GEMM shapes, repeat
+  // counts and default sparsities (tests/golden/registry_layers.csv).
+  std::ifstream file(std::string(INDEXMAC_GOLDEN_DIR) + "/registry_layers.csv", std::ios::binary);
+  ASSERT_TRUE(file.good());
+  std::stringstream expected;
+  expected << file.rdbuf();
+  EXPECT_EQ(render_registry_csv(), expected.str());
 }
 
 TEST(Workloads, MobilenetContainsDepthwiseAndPointwiseShapes) {
-  const Suite& s = suite("mobilenetv1");
+  const ModelGraph& graph = model_graph("mobilenetv1");
   bool saw_dw = false, saw_pw = false;
-  for (const Workload& w : s.workloads) {
-    if (w.name.find(".dw") != std::string::npos) {
+  for (const LayerRecord& l : graph.layers) {
+    if (l.name.find(".dw") != std::string::npos) {
       saw_dw = true;
-      EXPECT_EQ(w.dims.k, 9u) << w.name;  // 3x3 single-channel filter proxy
+      EXPECT_EQ(l.gemm.k, 9u) << l.name;  // 3x3 single-channel filter proxy
     }
-    if (w.name.find(".pw") != std::string::npos) {
+    if (l.name.find(".pw") != std::string::npos) {
       saw_pw = true;
-      EXPECT_GE(w.dims.k, 32u) << w.name;  // pointwise 1x1: k == in_channels
+      EXPECT_GE(l.gemm.k, 32u) << l.name;  // pointwise 1x1: k == in_channels
     }
   }
   EXPECT_TRUE(saw_dw);
   EXPECT_TRUE(saw_pw);
   // MobileNetV1 @224: 0.57 GMACs dense (the well-known headline count).
-  EXPECT_NEAR(static_cast<double>(s.total_macs()) / 1e9, 0.57, 0.02);
+  EXPECT_NEAR(static_cast<double>(graph.total_macs()) / 1e9, 0.57, 0.02);
 }
 
 TEST(Workloads, TransformerSuitesCarryProjectionShapes) {
-  const Suite& bert = suite("bert-base");
-  ASSERT_EQ(bert.workloads.size(), 4u);
-  EXPECT_EQ(bert.workloads[0].name, "attention.qkv_proj");
-  EXPECT_EQ(bert.workloads[0].count, 36u);  // 3 projections x 12 layers
-  for (const Workload& w : bert.workloads) EXPECT_EQ(w.dims.cols_b, 128u) << w.name;
+  const ModelGraph& bert = model_graph("bert-base");
+  ASSERT_EQ(bert.layers.size(), 4u);
+  EXPECT_EQ(bert.layers[0].name, "attention.qkv_proj");
+  EXPECT_EQ(bert.layers[0].repeat, 36u);  // 3 projections x 12 layers
+  EXPECT_EQ(bert.layer_count(), 72u);     // 6 shapes x 12 layers
+  for (const LayerRecord& l : bert.layers) EXPECT_EQ(l.gemm.cols_b, 128u) << l.name;
   // FFN up/down are transposes of each other.
-  EXPECT_EQ(bert.workloads[2].dims.rows_a, 3072u);
-  EXPECT_EQ(bert.workloads[2].dims.k, 768u);
-  EXPECT_EQ(bert.workloads[3].dims.rows_a, 768u);
-  EXPECT_EQ(bert.workloads[3].dims.k, 3072u);
+  EXPECT_EQ(bert.layers[2].gemm.rows_a, 3072u);
+  EXPECT_EQ(bert.layers[2].gemm.k, 768u);
+  EXPECT_EQ(bert.layers[3].gemm.rows_a, 768u);
+  EXPECT_EQ(bert.layers[3].gemm.k, 3072u);
 
-  const Suite& vit = suite("vit-base");
-  EXPECT_EQ(vit.workloads.front().name, "patch_embed");
-  EXPECT_EQ(vit.workloads.front().dims.k, 768u);  // 3*16*16
+  const ModelGraph& vit = model_graph("vit-base");
+  EXPECT_EQ(vit.layers.front().name, "patch_embed");
+  EXPECT_EQ(vit.layers.front().gemm.k, 768u);  // 3*16*16
+  EXPECT_EQ(vit.layer_count(), 74u);           // patch + 6x12 + head
   bool found_encoder = false;
-  for (const Workload& w : vit.workloads)
-    if (w.name == "attention.qkv_proj") {
+  for (const LayerRecord& l : vit.layers)
+    if (l.name == "attention.qkv_proj") {
       found_encoder = true;
-      EXPECT_EQ(w.dims.cols_b, 197u);  // 196 patches + CLS token
+      EXPECT_EQ(l.gemm.cols_b, 197u);  // 196 patches + CLS token
     }
   EXPECT_TRUE(found_encoder);
-}
-
-TEST(Workloads, ExpandCrossesSparsities) {
-  const Suite& s = suite("tiny");
-  ASSERT_EQ(s.sparsities.size(), 2u);
-  const auto instances = expand(s);
-  ASSERT_EQ(instances.size(), s.workloads.size() * 2);
-  // All workloads at the first sparsity, then all at the second.
-  for (std::size_t i = 0; i < s.workloads.size(); ++i) {
-    EXPECT_EQ(instances[i].sp, s.sparsities[0]);
-    EXPECT_EQ(instances[i].workload.name, s.workloads[i].name);
-    EXPECT_EQ(instances[s.workloads.size() + i].sp, s.sparsities[1]);
-  }
 }
 
 TEST(Workloads, ShrinkClampsEachDimension) {
@@ -180,17 +173,6 @@ TEST(Workloads, ParseSparsityRejectsDegenerateLabels) {
   }
 }
 
-TEST(Workloads, SourceLayersMatchModelGraphCounts) {
-  // Satellite fix: source_layers comes from ModelGraph::layer_count() for
-  // every registered suite (it used to be wrong for the non-CNN suites).
-  for (const std::string& name : suite_names())
-    EXPECT_EQ(suite(name).source_layers, model_graph(name).layer_count()) << name;
-  EXPECT_EQ(suite("bert-base").source_layers, 72u);   // 6 shapes x 12 layers
-  EXPECT_EQ(suite("vit-base").source_layers, 74u);    // patch + 6x12 + head
-  EXPECT_EQ(suite("tiny").source_layers, 4u);
-  EXPECT_EQ(suite("llm-decode").source_layers, 225u);
-}
-
 TEST(Workloads, LlmDecodeCarriesGqaDecodeShapes) {
   ASSERT_TRUE(has_suite("llm-decode"));
   const ModelGraph& graph = model_graph("llm-decode");
@@ -207,6 +189,7 @@ TEST(Workloads, LlmDecodeCarriesGqaDecodeShapes) {
   EXPECT_EQ(kv->gemm.rows_a, 1024u);
   EXPECT_EQ(kv->gemm.k, 4096u);
   EXPECT_EQ(kv->repeat, 64u);
+  EXPECT_EQ(graph.layer_count(), 225u);
   // Default evaluation grid: 2:4 plus the coarser 2:8 pattern.
   ASSERT_EQ(graph.default_sparsities.size(), 2u);
   EXPECT_EQ(sparsity_label(graph.default_sparsities[0]), "2:4");
@@ -219,12 +202,12 @@ TEST(Workloads, AllShapesAreLayoutCompatible) {
   // Every registered shape must survive layout construction at the paper's
   // L=16 tile under both paper sparsities (the sweep engine's precondition).
   for (const std::string& name : suite_names()) {
-    const Suite& s = suite(name);
-    for (const sparse::Sparsity sp : s.sparsities)
-      for (const Workload& w : s.workloads) {
+    const ModelGraph& graph = model_graph(name);
+    for (const sparse::Sparsity sp : graph.default_sparsities)
+      for (const LayerRecord& l : graph.layers) {
         AddressAllocator alloc;
-        const auto layout = kernels::make_layout(w.dims, sp, 16, alloc);
-        EXPECT_GT(layout.num_ktiles, 0u) << name << "/" << w.name;
+        const auto layout = kernels::make_layout(l.gemm, sp, 16, alloc);
+        EXPECT_GT(layout.num_ktiles, 0u) << name << "/" << l.name;
       }
   }
 }

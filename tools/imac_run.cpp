@@ -35,6 +35,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -261,7 +262,7 @@ int cmd_run(int argc, char** argv) {
     else if (std::strcmp(argv[i], "--trace") == 0) trace = true;
     else if (std::strcmp(argv[i], "--dump-regs") == 0) dump_regs = true;
     else if (std::strcmp(argv[i], "--max-steps") == 0 && i + 1 < argc)
-      max_steps = std::strtoull(argv[++i], nullptr, 10);
+      max_steps = parse_uint(argv[++i], "--max-steps");
     else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc)
       engine = parse_exec_engine(argv[++i]);  // throws SimError listing names
     else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
@@ -507,25 +508,14 @@ int cmd_sweep(int argc, char** argv) {
   }
 }
 
-/// Strict numeric flag parsing: a mistyped chaos or timing flag must not
-/// silently become 0 and invalidate what a chaos test believes it proved.
-std::uint64_t parse_u64_flag(const char* flag, const char* text, const char* cmd = "worker") {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || errno != 0)
-    indexmac::raise(std::string("imac_run ") + cmd + ": " + flag +
-                    " expects an unsigned integer, got \"" + text + "\"");
-  return v;
-}
-
 int cmd_gdb(int argc, char** argv) {
   using namespace indexmac;
   debug::GdbServerOptions opts;
   const char* path = nullptr;
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc)
-      opts.port = static_cast<std::uint16_t>(parse_u64_flag("--port", argv[++i], "gdb"));
+      opts.port = static_cast<std::uint16_t>(
+          parse_uint(argv[++i], "--port", std::numeric_limits<std::uint16_t>::max()));
     else if (std::strcmp(argv[i], "--port-file") == 0 && i + 1 < argc) opts.port_file = argv[++i];
     else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc)
       opts.engine = parse_exec_engine(argv[++i]);
@@ -563,28 +553,32 @@ int cmd_worker(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], "--host") == 0 && i + 1 < argc) opts.host = argv[++i];
     else if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc)
-      opts.port = static_cast<std::uint16_t>(parse_u64_flag("--port", argv[++i]));
+      opts.port = static_cast<std::uint16_t>(
+          parse_uint(argv[++i], "--port", std::numeric_limits<std::uint16_t>::max()));
     else if (std::strcmp(argv[i], "--port-file") == 0 && i + 1 < argc) port_file = argv[++i];
     else if (std::strcmp(argv[i], "--name") == 0 && i + 1 < argc) opts.name = argv[++i];
     else if (std::strcmp(argv[i], "--heartbeat-ms") == 0 && i + 1 < argc)
-      opts.heartbeat_ms = parse_u64_flag("--heartbeat-ms", argv[++i]);
+      opts.heartbeat_ms = parse_uint(argv[++i], "--heartbeat-ms");
     else if (std::strcmp(argv[i], "--poll-ms") == 0 && i + 1 < argc)
-      opts.poll_ms = parse_u64_flag("--poll-ms", argv[++i]);
+      opts.poll_ms = parse_uint(argv[++i], "--poll-ms");
     else if (std::strcmp(argv[i], "--backoff-base-ms") == 0 && i + 1 < argc)
-      opts.backoff_base_ms = parse_u64_flag("--backoff-base-ms", argv[++i]);
+      opts.backoff_base_ms = parse_uint(argv[++i], "--backoff-base-ms");
     else if (std::strcmp(argv[i], "--backoff-cap-ms") == 0 && i + 1 < argc)
-      opts.backoff_cap_ms = parse_u64_flag("--backoff-cap-ms", argv[++i]);
+      opts.backoff_cap_ms = parse_uint(argv[++i], "--backoff-cap-ms");
     else if (std::strcmp(argv[i], "--give-up-ms") == 0 && i + 1 < argc)
-      opts.give_up_ms = parse_u64_flag("--give-up-ms", argv[++i]);
+      opts.give_up_ms = parse_uint(argv[++i], "--give-up-ms");
     else if (std::strcmp(argv[i], "--chaos-kill-after") == 0 && i + 1 < argc)
-      opts.chaos.kill_after = static_cast<long>(parse_u64_flag("--chaos-kill-after", argv[++i]));
+      opts.chaos.kill_after = static_cast<long>(
+          parse_uint(argv[++i], "--chaos-kill-after", std::numeric_limits<long>::max()));
     else if (std::strcmp(argv[i], "--chaos-drop-after") == 0 && i + 1 < argc)
-      opts.chaos.drop_after = static_cast<long>(parse_u64_flag("--chaos-drop-after", argv[++i]));
+      opts.chaos.drop_after = static_cast<long>(
+          parse_uint(argv[++i], "--chaos-drop-after", std::numeric_limits<long>::max()));
     else if (std::strcmp(argv[i], "--chaos-stall-after") == 0 && i + 1 < argc)
       opts.chaos.stall_after =
-          static_cast<long>(parse_u64_flag("--chaos-stall-after", argv[++i]));
+          static_cast<long>(parse_uint(argv[++i], "--chaos-stall-after",
+                                       std::numeric_limits<long>::max()));
     else if (std::strcmp(argv[i], "--chaos-stall-ms") == 0 && i + 1 < argc)
-      opts.chaos.stall_ms = parse_u64_flag("--chaos-stall-ms", argv[++i]);
+      opts.chaos.stall_ms = parse_uint(argv[++i], "--chaos-stall-ms");
     else if (std::strcmp(argv[i], "--quiet") == 0) opts.quiet = true;
     else {
       usage(stderr);
@@ -751,33 +745,32 @@ int cmd_list_workloads(int argc, char** argv) {
     return 0;
   }
   if (suite_name != nullptr) {
-    const workloads::Suite& s = workloads::suite(suite_name);
-    std::printf("%s: %s\n\n", s.name.c_str(), s.description.c_str());
+    const workloads::ModelGraph& graph = workloads::model_graph(suite_name);
+    std::printf("%s: %s\n\n", graph.name.c_str(), graph.description.c_str());
     TextTable table;
     table.set_header({"workload", "GEMM (RxKxN)", "count", "MMACs"});
-    for (const workloads::Workload& w : s.workloads) {
-      const double mmacs = static_cast<double>(w.dims.rows_a) * static_cast<double>(w.dims.k) *
-                           static_cast<double>(w.dims.cols_b) * w.count / 1e6;
-      table.add_row({w.name,
-                     std::to_string(w.dims.rows_a) + "x" + std::to_string(w.dims.k) + "x" +
-                         std::to_string(w.dims.cols_b),
-                     std::to_string(w.count), fmt_fixed(mmacs, 1)});
-    }
+    for (const workloads::LayerRecord& layer : graph.layers)
+      table.add_row({layer.name,
+                     std::to_string(layer.gemm.rows_a) + "x" + std::to_string(layer.gemm.k) +
+                         "x" + std::to_string(layer.gemm.cols_b),
+                     std::to_string(layer.repeat),
+                     fmt_fixed(static_cast<double>(layer.macs()) / 1e6, 1)});
     std::printf("%s", table.to_string().c_str());
     return 0;
   }
   TextTable table;
   table.set_header({"suite", "workloads", "layers", "GMACs", "sparsities", "description"});
   for (const std::string& name : workloads::suite_names()) {
-    const workloads::Suite& s = workloads::suite(name);
+    const workloads::ModelGraph& graph = workloads::model_graph(name);
     std::string sparsities;
-    for (const auto sp : s.sparsities) {
+    for (const auto sp : graph.default_sparsities) {
       if (!sparsities.empty()) sparsities += ' ';
       sparsities += workloads::sparsity_label(sp);
     }
-    table.add_row({s.name, std::to_string(s.workloads.size()), std::to_string(s.source_layers),
-                   fmt_fixed(static_cast<double>(s.total_macs()) / 1e9, 2), sparsities,
-                   s.description});
+    table.add_row({graph.name, std::to_string(graph.layers.size()),
+                   std::to_string(graph.layer_count()),
+                   fmt_fixed(static_cast<double>(graph.total_macs()) / 1e9, 2), sparsities,
+                   graph.description});
   }
   std::printf("%s", table.to_string().c_str());
   return 0;
@@ -842,46 +835,66 @@ int cmd_import_model(int argc, char** argv) {
   return 0;
 }
 
+/// The measurements of one report line, slotted by registry pairing role.
+template <typename Row>
+struct Pair {
+  const Row* baseline = nullptr;
+  const Row* proposed = nullptr;
+  const Row* proposed_v2 = nullptr;
+  const Row* any = nullptr;
+};
+
+/// Pairs baseline/proposed/proposed-v2 rows that share `key_of(row)`
+/// (everything but the paired algorithm) into one line each, in
+/// first-occurrence order. Standalone families (dense, ssr) get their id
+/// folded into the key, so every one keeps its own line instead of
+/// vanishing behind a pair.
+template <typename Row, typename KeyFn, typename AlgorithmFn>
+std::vector<Pair<Row>> pair_by_role(const std::vector<Row>& rows, KeyFn key_of,
+                                    AlgorithmFn algorithm_of) {
+  using namespace indexmac;
+  std::vector<Pair<Row>> pairs;
+  std::map<std::string, std::size_t> index;
+  for (const Row& row : rows) {
+    const core::AlgorithmDescriptor& desc =
+        core::AlgorithmRegistry::instance().by_algorithm(algorithm_of(row));
+    std::string key = key_of(row);
+    if (desc.pairing == core::PairingRole::kStandalone) key += "|" + desc.id;
+    const auto [it, inserted] = index.try_emplace(key, pairs.size());
+    if (inserted) pairs.emplace_back();
+    Pair<Row>& pair = pairs[it->second];
+    pair.any = &row;
+    switch (desc.pairing) {
+      case core::PairingRole::kBaseline: pair.baseline = &row; break;
+      case core::PairingRole::kProposed: pair.proposed = &row; break;
+      case core::PairingRole::kProposedV2: pair.proposed_v2 = &row; break;
+      case core::PairingRole::kStandalone: break;
+    }
+  }
+  return pairs;
+}
+
 /// The --rollup report view: whole-network totals per (suite x sparsity x
 /// config), algorithms paired into speedup columns like the per-point view.
 int print_rollup_report(const indexmac::core::SweepReport& report) {
   using namespace indexmac;
   const core::RollupReport totals = core::compute_rollup(report);
-
-  struct Pair {
-    const core::RollupRow* baseline = nullptr;
-    const core::RollupRow* proposed = nullptr;
-    const core::RollupRow* proposed_v2 = nullptr;
-    const core::RollupRow* any = nullptr;
-  };
-  std::map<std::string, Pair> pairs;  // keyed by everything but the paired algorithm
-  std::vector<std::string> order;
-  for (const core::RollupRow& row : totals.rows) {
-    const core::AlgorithmDescriptor& desc =
-        core::AlgorithmRegistry::instance().by_algorithm(row.algorithm);
-    std::string key = row.suite + "|" + workloads::sparsity_label(row.sp) + "|u" +
-                      std::to_string(row.unroll) + "|df" +
-                      std::to_string(static_cast<int>(row.dataflow)) + "|L" +
-                      std::to_string(row.tile_rows) + "|" + core::sweep_mode_name(row.mode);
-    if (desc.pairing == core::PairingRole::kStandalone) key += "|" + desc.id;
-    auto [it, inserted] = pairs.try_emplace(key);
-    if (inserted) order.push_back(key);
-    it->second.any = &row;
-    switch (desc.pairing) {
-      case core::PairingRole::kBaseline: it->second.baseline = &row; break;
-      case core::PairingRole::kProposed: it->second.proposed = &row; break;
-      case core::PairingRole::kProposedV2: it->second.proposed_v2 = &row; break;
-      case core::PairingRole::kStandalone: break;
-    }
-  }
+  const auto pairs = pair_by_role(
+      totals.rows,
+      [](const core::RollupRow& row) {
+        return row.suite + "|" + workloads::sparsity_label(row.sp) + "|u" +
+               std::to_string(row.unroll) + "|df" +
+               std::to_string(static_cast<int>(row.dataflow)) + "|L" +
+               std::to_string(row.tile_rows) + "|" + core::sweep_mode_name(row.mode);
+      },
+      [](const core::RollupRow& row) { return row.algorithm; });
 
   std::printf("sweep %s: network rollup (%zu groups)\n\n", report.spec_name.c_str(),
               totals.rows.size());
   TextTable table;
   table.set_header({"suite", "sparsity", "unroll", "algorithm", "layers", "net cycles",
                     "net accesses", "energy (bytes)", "speedup"});
-  for (const std::string& key : order) {
-    const Pair& pair = pairs.at(key);
+  for (const Pair<core::RollupRow>& pair : pairs) {
     const core::RollupRow& shown = pair.proposed != nullptr ? *pair.proposed : *pair.any;
     std::string speedup = "-";
     if (pair.baseline != nullptr && pair.proposed != nullptr)
@@ -933,43 +946,20 @@ int cmd_report(int argc, char** argv) {
   const core::SweepReport report = core::parse_csv_report(buf.str());
   if (rollup) return print_rollup_report(report);
 
-  // Pair baseline/proposed/proposed-v2 measurements of the same point into
-  // one line, by each family's registry pairing role. Standalone families
-  // (dense, ssr) get the family id folded into the key, so every one keeps
-  // its own line instead of vanishing behind a pair.
-  struct Pair {
-    const core::SweepRow* baseline = nullptr;
-    const core::SweepRow* proposed = nullptr;
-    const core::SweepRow* proposed_v2 = nullptr;
-    const core::SweepRow* any = nullptr;
-  };
-  std::map<std::string, Pair> pairs;  // keyed by everything but the paired algorithm
-  std::vector<std::string> order;
-  for (const core::SweepRow& row : report.rows) {
-    const core::SweepPoint& p = row.point;
-    const core::AlgorithmDescriptor& desc =
-        core::AlgorithmRegistry::instance().by_algorithm(p.config.algorithm);
-    std::string key = p.suite + "|" + p.workload + "|" +
-                      workloads::sparsity_label(p.sp) + "|u" +
-                      std::to_string(p.config.kernel.unroll) + "|df" +
-                      std::to_string(static_cast<int>(p.config.kernel.dataflow)) + "|L" +
-                      std::to_string(p.config.tile_rows) + "|" +
-                      core::sweep_mode_name(p.mode) + "|" +
-                      std::to_string(p.dims.rows_a) + "x" + std::to_string(p.dims.k) + "x" +
-                      std::to_string(p.dims.cols_b);
-    if (desc.pairing == core::PairingRole::kStandalone) key += "|" + desc.id;
-    auto [it, inserted] = pairs.try_emplace(key);
-    if (inserted) order.push_back(key);
-    it->second.any = &row;
-    switch (desc.pairing) {
-      case core::PairingRole::kBaseline: it->second.baseline = &row; break;
-      case core::PairingRole::kProposed: it->second.proposed = &row; break;
-      case core::PairingRole::kProposedV2: it->second.proposed_v2 = &row; break;
-      case core::PairingRole::kStandalone: break;
-    }
-  }
+  const auto pairs = pair_by_role(
+      report.rows,
+      [](const core::SweepRow& row) {
+        const core::SweepPoint& p = row.point;
+        return p.suite + "|" + p.workload + "|" + workloads::sparsity_label(p.sp) + "|u" +
+               std::to_string(p.config.kernel.unroll) + "|df" +
+               std::to_string(static_cast<int>(p.config.kernel.dataflow)) + "|L" +
+               std::to_string(p.config.tile_rows) + "|" + core::sweep_mode_name(p.mode) + "|" +
+               std::to_string(p.dims.rows_a) + "x" + std::to_string(p.dims.k) + "x" +
+               std::to_string(p.dims.cols_b);
+      },
+      [](const core::SweepRow& row) { return row.point.config.algorithm; });
   bool any_v2 = false;
-  for (const std::string& key : order) any_v2 = any_v2 || pairs.at(key).proposed_v2 != nullptr;
+  for (const Pair<core::SweepRow>& pair : pairs) any_v2 = any_v2 || pair.proposed_v2 != nullptr;
 
   std::printf("sweep %s (%zu rows)\n\n", report.spec_name.c_str(), report.rows.size());
   TextTable table;
@@ -981,8 +971,7 @@ int cmd_report(int argc, char** argv) {
     header.push_back("v2 speedup");
   }
   table.set_header(header);
-  for (const std::string& key : order) {
-    const Pair& pair = pairs.at(key);
+  for (const Pair<core::SweepRow>& pair : pairs) {
     const core::SweepRow& base = *pair.any;
     const core::SweepPoint& p = base.point;
     std::string speedup = "-";
@@ -1061,6 +1050,9 @@ int main(int argc, char** argv) {
     }
     // Historical interface: flags + a .s file, no subcommand.
     return cmd_run(argc - 1, argv + 1);
+  } catch (const indexmac::UsageError& e) {
+    std::fprintf(stderr, "imac_run: %s\n", e.what());
+    return 2;
   } catch (const indexmac::SimError& e) {
     std::fprintf(stderr, "imac_run: %s\n", e.what());
     return 1;
