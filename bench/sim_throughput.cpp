@@ -8,6 +8,10 @@
 // Scenarios exercise the distinct hot paths of timing::Model:
 //   * scalar_heavy   — branchy scalar loop (front end + scalar issue + L1D)
 //   * vector_heavy   — exact indexmac SpMM run (vector dispatch + engine)
+//   * vector_heavy_threaded — the same run with the threaded engine driving
+//                      the trace block by block; its sim_cycles must equal
+//                      vector_heavy's, and its MIPS over vector_heavy's is
+//                      the host-independent ratio CI gates on
 //   * algorithm4     — the same SpMM on the packed-index/dual-row kernel;
 //                      its tracked sim_cycles, against vector_heavy's,
 //                      records the Algorithm 3 -> 4 cycle gain
@@ -32,11 +36,15 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "asm/text_assembler.h"
 #include "common/error.h"
+#include "common/format.h"
 #include "core/batch.h"
 #include "core/runner.h"
 #include "core/spmm_problem.h"
@@ -75,24 +83,36 @@ struct ScenarioResult {
   }
 };
 
-/// Runs `body` (which returns the dynamic-instruction count of one full
-/// timing-model execution) `reps` times after one untimed warm-up.
-template <typename Body>
-ScenarioResult measure(const std::string& name, unsigned reps, Body&& body) {
-  ScenarioResult out;
-  out.name = name;
-  out.reps = reps;
-  out.instructions = body();  // warm-up; also yields the instruction count
-  out.best_seconds = 1e30;
-  for (unsigned r = 0; r < reps; ++r) {
-    const Clock::time_point start = Clock::now();
-    const std::uint64_t instructions = body();
-    const double elapsed = seconds_since(start);
-    IMAC_CHECK(instructions == out.instructions,
-               "sim_throughput: instruction count drifted between reps in " + name);
-    if (elapsed < out.best_seconds) out.best_seconds = elapsed;
+/// One scenario's timed work: returns the dynamic-instruction count of one
+/// full timing-model execution.
+using Body = std::function<std::uint64_t()>;
+
+/// Runs each body `reps` times after one untimed warm-up. The bodies take
+/// turns rep by rep, so a change of host speed during the measurement hits
+/// each alike and the MIPS ratio of two of them stays comparable.
+std::vector<ScenarioResult> measure_each(
+    unsigned reps, const std::vector<std::pair<std::string, Body>>& bodies) {
+  std::vector<ScenarioResult> out(bodies.size());
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    out[i].name = bodies[i].first;
+    out[i].reps = reps;
+    out[i].instructions = bodies[i].second();  // warm-up; also yields the count
+    out[i].best_seconds = 1e30;
   }
+  for (unsigned r = 0; r < reps; ++r)
+    for (std::size_t i = 0; i < bodies.size(); ++i) {
+      const Clock::time_point start = Clock::now();
+      const std::uint64_t instructions = bodies[i].second();
+      const double elapsed = seconds_since(start);
+      IMAC_CHECK(instructions == out[i].instructions,
+                 "sim_throughput: instruction count drifted between reps in " + out[i].name);
+      if (elapsed < out[i].best_seconds) out[i].best_seconds = elapsed;
+    }
   return out;
+}
+
+ScenarioResult measure(const std::string& name, unsigned reps, Body body) {
+  return measure_each(reps, {{name, std::move(body)}})[0];
 }
 
 // ---- scenario bodies ----
@@ -134,18 +154,28 @@ ScenarioResult scalar_heavy(unsigned reps, unsigned scale) {
   });
 }
 
-/// Exact indexmac SpMM run: vector dispatch, engine scoreboarding, vle32.
-ScenarioResult vector_heavy(unsigned reps, unsigned scale) {
+/// Exact indexmac SpMM run (vector dispatch, engine scoreboarding, vle32),
+/// driven by the interpreter (vector_heavy) and by the threaded engine's
+/// block trace (vector_heavy_threaded), measured in turns: CI gates on
+/// their MIPS ratio.
+std::vector<ScenarioResult> vector_heavy(unsigned reps, unsigned scale) {
   const kernels::GemmDims dims{64 * scale, 256, 128};
   const core::SpmmProblem problem = core::SpmmProblem::random(dims, sparse::kSparsity14, 1);
-  const core::RunConfig config{.algorithm = core::Algorithm::kIndexmac, .kernel = {}};
-  std::uint64_t cycles = 0;
-  ScenarioResult out = measure("vector_heavy", reps, [&] {
-    const auto r = core::run_exact(problem, config, timing::ProcessorConfig{});
-    cycles = r.stats.cycles;
-    return r.stats.instructions;
-  });
-  out.sim_cycles = cycles;
+  std::uint64_t cycles[2] = {0, 0};
+  const auto body = [&](ExecEngine engine, std::uint64_t& sim_cycles) -> Body {
+    return [&, engine] {
+      const core::RunConfig config{
+          .algorithm = core::Algorithm::kIndexmac, .kernel = {}, .engine = engine};
+      const auto r = core::run_exact(problem, config, timing::ProcessorConfig{});
+      sim_cycles = r.stats.cycles;
+      return r.stats.instructions;
+    };
+  };
+  std::vector<ScenarioResult> out =
+      measure_each(reps, {{"vector_heavy", body(ExecEngine::kInterp, cycles[0])},
+                          {"vector_heavy_threaded", body(ExecEngine::kThreaded, cycles[1])}});
+  out[0].sim_cycles = cycles[0];
+  out[1].sim_cycles = cycles[1];
   return out;
 }
 
@@ -305,17 +335,21 @@ int main(int argc, char** argv) {
   const char* out_path = "BENCH_sim_throughput.json";
   unsigned reps = 5;
   unsigned scale = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
-    else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc)
-      reps = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc)
-      scale = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    else {
-      std::fprintf(stderr,
-                   "usage: sim_throughput [--out FILE] [--reps N] [--scale N]\n");
-      return 2;
+  constexpr auto kMaxUnsigned = std::numeric_limits<unsigned>::max();
+  try {
+    for (int i = 1; i < argc; ++i) {
+      if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
+      else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc)
+        reps = static_cast<unsigned>(parse_uint(argv[++i], "--reps", kMaxUnsigned));
+      else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc)
+        scale = static_cast<unsigned>(parse_uint(argv[++i], "--scale", kMaxUnsigned));
+      else
+        throw UsageError(std::string("unknown argument: ") + argv[i]);
     }
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "sim_throughput: %s\nusage: sim_throughput [--out FILE] [--reps N] "
+                 "[--scale N]\n", e.what());
+    return 2;
   }
   if (reps == 0) reps = 1;
   if (scale == 0) scale = 1;
@@ -323,7 +357,7 @@ int main(int argc, char** argv) {
   try {
     std::vector<ScenarioResult> scenarios;
     scenarios.push_back(scalar_heavy(reps, scale));
-    scenarios.push_back(vector_heavy(reps, scale));
+    for (ScenarioResult& s : vector_heavy(reps, scale)) scenarios.push_back(std::move(s));
     scenarios.push_back(algorithm4(reps, scale));
     scenarios.push_back(gather_heavy(reps, scale));
     scenarios.push_back(sampled(reps, scale));
@@ -349,6 +383,14 @@ int main(int argc, char** argv) {
         std::printf("%-20s threaded speedup %.2fx\n", pair,
                     interp->best_seconds / threaded->best_seconds);
     }
+    // The engine only changes how the trace advances, never what it says.
+    const ScenarioResult* timed = find("vector_heavy");
+    const ScenarioResult* timed_threaded = find("vector_heavy_threaded");
+    if (timed_threaded->sim_cycles != timed->sim_cycles)
+      raise("vector_heavy_threaded simulated " + std::to_string(timed_threaded->sim_cycles) +
+            " cycles, vector_heavy " + std::to_string(timed->sim_cycles));
+    std::printf("%-20s threaded trace speedup %.2fx\n", "vector_heavy",
+                timed->best_seconds / timed_threaded->best_seconds);
     const double sweep_seconds = canonical_sweep_seconds();
     std::printf("%-14s %35s %8.4f s\n", "tiny_sweep", "wall (1 thread)", sweep_seconds);
 

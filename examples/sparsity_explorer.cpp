@@ -5,8 +5,8 @@
 //
 //   ./build/examples/sparsity_explorer [rows k cols]
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/error.h"
 #include "common/format.h"
 #include "core/batch.h"
 
@@ -16,10 +16,19 @@ int main(int argc, char** argv) {
   using core::RunConfig;
 
   kernels::GemmDims dims{128, 512, 196};
+  if (argc != 1 && argc != 4) {
+    std::fprintf(stderr, "usage: sparsity_explorer [rows k cols]\n");
+    return 2;
+  }
   if (argc == 4) {
-    dims.rows_a = std::strtoul(argv[1], nullptr, 10);
-    dims.k = std::strtoul(argv[2], nullptr, 10);
-    dims.cols_b = std::strtoul(argv[3], nullptr, 10);
+    try {
+      dims.rows_a = parse_uint(argv[1], "rows");
+      dims.k = parse_uint(argv[2], "k");
+      dims.cols_b = parse_uint(argv[3], "cols");
+    } catch (const UsageError& e) {
+      std::fprintf(stderr, "sparsity_explorer: %s\n", e.what());
+      return 2;
+    }
   }
   std::printf("GEMM: C[%zu x %zu] = A[%zu x %zu] x B[%zu x %zu]\n\n", dims.rows_a, dims.cols_b,
               dims.rows_a, dims.k, dims.k, dims.cols_b);

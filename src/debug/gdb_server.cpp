@@ -125,7 +125,11 @@ std::string GdbSession::resume(bool single_step, std::string_view addr_text) {
   if (!addr_text.empty()) machine_.state().pc = parse_hex_u64(addr_text);
   try {
     const auto step_once = [&] {
-      return engine_ == ExecEngine::kThreaded ? threaded_.step() : machine_.step();
+      if (engine_ != ExecEngine::kThreaded) return machine_.step();
+      // A one-instruction budget: the engine stops after exactly one
+      // instruction and reports the spent budget as kMaxSteps.
+      const StopReason r = threaded_.run(1);
+      return r == StopReason::kMaxSteps ? StopReason::kRunning : r;
     };
     if (single_step) {
       const StopReason r = step_once();

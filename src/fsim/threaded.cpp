@@ -1,12 +1,10 @@
 // Threaded-code engine implementation. Three layers:
 //
 //   1. Per-op records (TOp): one pre-bound handler + resolved operands per
-//      pc slot. step() executes exactly one of these with Machine::step's
-//      observable semantics (the timing trace runs on this layer so the
-//      DynInst stream is identical under both engines).
+//      instruction of a block; the chain-bail replay path runs on them.
 //   2. Basic blocks: maximal straight-line TOp runs ending at a branch,
 //      jump, halt, or fallback op, executed without touching state_.pc
-//      until the block exits. run() executes whole blocks.
+//      until the block exits. run() and run_block() execute whole blocks.
 //   3. Superblock chains: straight-line runs of the Algorithm 2/3/4 inner
 //      shapes inside a block, fused into native loops. Slides are deferred
 //      into per-register element offsets; every other op executes for real
@@ -15,6 +13,14 @@
 //      shift bails out: the pending slides are materialized and the rest
 //      of the chain replays through its original per-op records, so the
 //      result is bit-identical in every case.
+//
+// Block execution comes in two instantiations of the same code: untraced
+// (run) and traced (run_block, which drives the timing model). The traced
+// one writes each instruction's pre-execution x[rs1], vl and gather
+// offsets into an OpRecord slot at the instruction's index in the block:
+// plain ops before they execute, fused micros at their original op index,
+// and the bail replay again per op, so the records match the interpreter's
+// pre-state whichever path a chain takes.
 //
 // The per-op handlers below mirror Machine::exec case by case; when editing
 // one, edit the other (the lockstep differential tests catch divergence).
@@ -52,8 +58,11 @@ std::uint32_t f32_to_bits(float value) {
 struct TOp;
 struct Chain;
 
+using GatherRecord = std::array<std::uint32_t, kVlMax>;
+
 /// Per-block execution context the handlers mutate. next_pc is preset to
-/// the fall-through pc; only control-flow handlers overwrite it.
+/// the fall-through pc; only control-flow handlers overwrite it. The record
+/// arrays are set (and written) only by traced block runs.
 struct Ctx {
   ArchState& st;
   MainMemory& mem;
@@ -61,6 +70,8 @@ struct Ctx {
   ThreadedEngine::Stats* stats;
   std::uint64_t next_pc;
   StopReason stop = StopReason::kRunning;
+  OpRecord* rec = nullptr;
+  GatherRecord* gather = nullptr;
 };
 
 using Handler = void (*)(Ctx&, const TOp&);
@@ -71,6 +82,7 @@ using Handler = void (*)(Ctx&, const TOp&);
 struct TOp {
   Handler fn = nullptr;
   std::uint8_t rd = 0, rs1 = 0, rs2 = 0;
+  bool gather = false;  ///< vluxei32: a traced run records v[rs2]
   std::int32_t imm = 0;
   std::int64_t simm = 0;
   std::uint64_t aux = 0;
@@ -127,7 +139,7 @@ struct Block {
   std::uint64_t entry_pc = 0;
   std::uint64_t fall_pc = 0;  ///< pc after the last instruction of the block
   std::uint32_t n_ops = 0;    ///< dynamic instructions per full execution
-  std::vector<TOp> ops;       ///< per-instruction records (step/replay layer)
+  std::vector<TOp> ops;       ///< per-instruction records (replay layer)
   std::vector<TOp> fast;      ///< chains collapsed (run layer)
 };
 
@@ -409,11 +421,25 @@ void apply_shift(ArchState& st, unsigned reg, unsigned s) {
   for (unsigned i = 0; i < kVlMax; ++i) v[i] = i + s < kVlMax ? v[i + s] : 0;
 }
 
+/// Executes one per-op record; a traced run first records the pre-state
+/// the instruction's trace entry is built from into slot `idx`.
+template <bool kTrace>
+void exec_op(Ctx& c, const TOp& o, std::size_t idx) {
+  if constexpr (kTrace) {
+    c.rec[idx] = {c.st.x[o.rs1], c.st.vl};
+    if (o.gather) c.gather[idx] = c.st.v[o.rs2];
+  }
+  o.fn(c, o);
+}
+
 /// Abandons fused execution before original op `op_idx`: applies the
 /// `slide_count` slides deferred so far (state is then exactly the
 /// interpreter's after op_idx instructions) and replays the rest of the
-/// chain through its original per-op records.
-void chain_bail(Ctx& c, const Chain& ch, std::uint32_t slide_count, std::uint32_t op_idx) {
+/// chain through its original per-op records. `base` is the chain's first
+/// op index within its block (traced runs record there).
+template <bool kTrace>
+void chain_bail(Ctx& c, const Chain& ch, std::uint32_t slide_count, std::uint32_t op_idx,
+                std::size_t base) {
   std::array<std::uint8_t, isa::kNumVRegs> pend{};
   for (std::uint32_t j = 0; j < slide_count; ++j) {
     const Chain::Fixup& s = ch.slide_log[j];
@@ -423,21 +449,31 @@ void chain_bail(Ctx& c, const Chain& ch, std::uint32_t slide_count, std::uint32_
   for (unsigned r = 0; r < isa::kNumVRegs; ++r)
     if (pend[r] != 0) apply_shift(c.st, r, pend[r]);
   ++c.stats->chain_bails;
-  for (std::uint32_t j = op_idx; j < ch.op_count; ++j) {
-    const TOp& op = ch.replay[j];
-    op.fn(c, op);
-  }
+  for (std::uint32_t j = op_idx; j < ch.op_count; ++j) exec_op<kTrace>(c, ch.replay[j], base + j);
 }
 
-void h_chain(Ctx& c, const TOp& o) {
-  const Chain& ch = *o.chain;
+/// Runs a fused chain whose first op sits at index `base` of its block.
+/// Traced runs record vl for every op up front (a fused chain runs at
+/// vl == kVlMax throughout) and x[rs1] where a micro's original op reads
+/// an address or a row index from it.
+template <bool kTrace>
+void run_chain(Ctx& c, const Chain& ch, std::size_t base) {
   ArchState& st = c.st;
   // The deferred-slide model bakes in vslide semantics at vl == kVlMax
   // (tail elements untouched otherwise); narrower vl replays per-op.
   if (st.vl != kVlMax) {
-    chain_bail(c, ch, 0, 0);
+    chain_bail<kTrace>(c, ch, 0, 0, base);
     return;
   }
+  OpRecord* const rec = kTrace ? c.rec + base : nullptr;
+  if constexpr (kTrace)
+    for (std::uint32_t j = 0; j < ch.op_count; ++j) rec[j].vl = kVlMax;
+  const auto record_rs1 = [rec](std::uint32_t op_idx, std::uint64_t value) {
+    if constexpr (kTrace) rec[op_idx].rs1 = value;
+  };
+  const auto bail = [&](const Micro& u) {
+    chain_bail<kTrace>(c, ch, u.slide_count, u.op_idx, base);
+  };
   const std::size_t n = ch.micros.size();
   for (std::size_t k = 0; k < n; ++k) {
     const Micro& u = ch.micros[k];
@@ -453,14 +489,13 @@ void h_chain(Ctx& c, const TOp& o) {
         st.x[u.a] >>= u.shamt;
         break;
       case Micro::K::kLoadRow:
+        record_rs1(u.op_idx, st.x[u.c]);
         c.mem.read_u32_block(st.x[u.c], st.v[u.a].data(), kVlMax);
         break;
       case Micro::K::kMacIdxU: {
+        record_rs1(u.op_idx, st.x[u.c]);
         const unsigned row = static_cast<unsigned>(st.x[u.c] & 0x1f);
-        if ((u.unsafe_mask >> row) & 1u) {
-          chain_bail(c, ch, u.slide_count, u.op_idx);
-          return;
-        }
+        if ((u.unsafe_mask >> row) & 1u) return bail(u);
         const std::uint32_t scale = shifted_elem(st, u.b, u.off);
         auto& acc = st.v[u.a];
         const auto& src = st.v[row];
@@ -468,11 +503,9 @@ void h_chain(Ctx& c, const TOp& o) {
         break;
       }
       case Micro::K::kMacIdxF: {
+        record_rs1(u.op_idx, st.x[u.c]);
         const unsigned row = static_cast<unsigned>(st.x[u.c] & 0x1f);
-        if ((u.unsafe_mask >> row) & 1u) {
-          chain_bail(c, ch, u.slide_count, u.op_idx);
-          return;
-        }
+        if ((u.unsafe_mask >> row) & 1u) return bail(u);
         const float scale = bits_to_f32(shifted_elem(st, u.b, u.off));
         auto& acc = st.v[u.a];
         const auto& src = st.v[row];
@@ -484,13 +517,11 @@ void h_chain(Ctx& c, const TOp& o) {
         const std::uint32_t lane = shifted_elem(st, u.c, u.shamt);
         st.x[u.x] = static_cast<std::uint64_t>(
             static_cast<std::int64_t>(static_cast<std::int32_t>(lane)));
+        record_rs1(u.op_idx + 1u, st.x[u.x]);  // the MAC reads the mv's result
         const unsigned row = lane & 0x1f;
-        if ((u.unsafe_mask >> row) & 1u) {
-          // The replayed vmv.x.s recomputes the identical x value: its
-          // source vreg cannot have changed since this micro started.
-          chain_bail(c, ch, u.slide_count, u.op_idx);
-          return;
-        }
+        // On a bail the replayed vmv.x.s recomputes the identical x value:
+        // its source vreg cannot have changed since this micro started.
+        if ((u.unsafe_mask >> row) & 1u) return bail(u);
         const std::uint32_t scale = shifted_elem(st, u.b, u.off);
         auto& acc = st.v[u.a];
         const auto& src = st.v[row];
@@ -501,11 +532,9 @@ void h_chain(Ctx& c, const TOp& o) {
         const std::uint32_t lane = shifted_elem(st, u.c, u.shamt);
         st.x[u.x] = static_cast<std::uint64_t>(
             static_cast<std::int64_t>(static_cast<std::int32_t>(lane)));
+        record_rs1(u.op_idx + 1u, st.x[u.x]);
         const unsigned row = lane & 0x1f;
-        if ((u.unsafe_mask >> row) & 1u) {
-          chain_bail(c, ch, u.slide_count, u.op_idx);
-          return;
-        }
+        if ((u.unsafe_mask >> row) & 1u) return bail(u);
         const float scale = bits_to_f32(shifted_elem(st, u.b, u.off));
         auto& acc = st.v[u.a];
         const auto& src = st.v[row];
@@ -514,11 +543,9 @@ void h_chain(Ctx& c, const TOp& o) {
         break;
       }
       case Micro::K::kMacPackU: {
+        record_rs1(u.op_idx, st.x[u.c]);
         const unsigned row = 16u | static_cast<unsigned>(st.x[u.c] & 0xf);
-        if ((u.unsafe_mask >> row) & 1u) {
-          chain_bail(c, ch, u.slide_count, u.op_idx);
-          return;
-        }
+        if ((u.unsafe_mask >> row) & 1u) return bail(u);
         const std::uint32_t scale = shifted_elem(st, u.b, u.off);
         auto& acc = st.v[u.a];
         const auto& src = st.v[row];
@@ -526,11 +553,9 @@ void h_chain(Ctx& c, const TOp& o) {
         break;
       }
       case Micro::K::kMacPackF: {
+        record_rs1(u.op_idx, st.x[u.c]);
         const unsigned row = 16u | static_cast<unsigned>(st.x[u.c] & 0xf);
-        if ((u.unsafe_mask >> row) & 1u) {
-          chain_bail(c, ch, u.slide_count, u.op_idx);
-          return;
-        }
+        if ((u.unsafe_mask >> row) & 1u) return bail(u);
         const float scale = bits_to_f32(shifted_elem(st, u.b, u.off));
         auto& acc = st.v[u.a];
         const auto& src = st.v[row];
@@ -539,12 +564,10 @@ void h_chain(Ctx& c, const TOp& o) {
         break;
       }
       case Micro::K::kMacDualU: {
+        record_rs1(u.op_idx, st.x[u.c]);
         const unsigned r0 = 16u | static_cast<unsigned>(st.x[u.c] & 0xf);
         const unsigned r1 = 16u | static_cast<unsigned>((st.x[u.c] >> 4) & 0xf);
-        if (((u.unsafe_mask >> r0) | (u.unsafe_mask >> r1)) & 1u) {
-          chain_bail(c, ch, u.slide_count, u.op_idx);
-          return;
-        }
+        if (((u.unsafe_mask >> r0) | (u.unsafe_mask >> r1)) & 1u) return bail(u);
         const std::uint32_t s0 = shifted_elem(st, u.b, u.off);
         const std::uint32_t s1 = shifted_elem(st, u.b, u.off + 1u);
         auto& acc = st.v[u.a];
@@ -557,12 +580,10 @@ void h_chain(Ctx& c, const TOp& o) {
         break;
       }
       case Micro::K::kMacDualF: {
+        record_rs1(u.op_idx, st.x[u.c]);
         const unsigned r0 = 16u | static_cast<unsigned>(st.x[u.c] & 0xf);
         const unsigned r1 = 16u | static_cast<unsigned>((st.x[u.c] >> 4) & 0xf);
-        if (((u.unsafe_mask >> r0) | (u.unsafe_mask >> r1)) & 1u) {
-          chain_bail(c, ch, u.slide_count, u.op_idx);
-          return;
-        }
+        if (((u.unsafe_mask >> r0) | (u.unsafe_mask >> r1)) & 1u) return bail(u);
         const float s0 = bits_to_f32(shifted_elem(st, u.b, u.off));
         const float s1 = bits_to_f32(shifted_elem(st, u.b, u.off + 1u));
         auto& acc = st.v[u.a];
@@ -595,6 +616,8 @@ void h_chain(Ctx& c, const TOp& o) {
   c.stats->superblock_macs += ch.mac_count;
 }
 
+void h_chain(Ctx& c, const TOp& o) { run_chain<false>(c, *o.chain, 0); }
+
 }  // namespace
 
 // ---- engine implementation -----------------------------------------------
@@ -612,7 +635,10 @@ struct ThreadedEngine::Impl {
   std::vector<Block*> slot_ptr;
   std::deque<Block> blocks;
   std::deque<Chain> chains;
-  std::vector<TOp> step_ops;  ///< lazily-built per-slot records for step()
+  // run_block() record storage, sized at block build to the longest block
+  // so traced runs never allocate.
+  std::vector<OpRecord> trace_ops;
+  std::vector<GatherRecord> trace_gather;
   Stats stats;
 
   explicit Impl(Machine& machine)
@@ -623,8 +649,7 @@ struct ThreadedEngine::Impl {
         code_bytes(machine.code_bytes_),
         nslots(static_cast<std::size_t>(machine.code_bytes_ >> 2)),
         slot_state(nslots, kUnknown),
-        slot_ptr(nslots, nullptr),
-        step_ops(nslots) {}
+        slot_ptr(nslots, nullptr) {}
 
   Ctx make_ctx(std::uint64_t fall_pc) {
     return Ctx{m.state_, m.memory_, &m.marker_hook_, &stats, fall_pc, StopReason::kRunning};
@@ -634,9 +659,11 @@ struct ThreadedEngine::Impl {
   Block* build_block(std::size_t entry);
   void build_fast(Block& b, std::size_t entry);
   Block* lookup_block(std::uint64_t pc);
+  template <bool kTrace>
+  StopReason exec_block(const Block& b);
   StopReason run(std::uint64_t max_steps);
   StopReason run_with_breakpoints(const BreakpointSet& bps, std::uint64_t max_steps);
-  StopReason step();
+  StopReason run_block(BlockTrace& trace);
 };
 
 TOp ThreadedEngine::Impl::make_op(std::size_t slot) {
@@ -716,7 +743,10 @@ TOp ThreadedEngine::Impl::make_op(std::size_t slot) {
     case Op::kVsetvli: o.fn = h_vsetvli; break;
     case Op::kVle32: o.fn = h_vle32; break;
     case Op::kVse32: o.fn = h_vse32; break;
-    case Op::kVluxei32: o.fn = h_vluxei32; break;
+    case Op::kVluxei32:
+      o.fn = h_vluxei32;
+      o.gather = true;
+      break;
     case Op::kVaddVx: o.fn = h_vadd_vx; break;
     case Op::kVaddVV: o.fn = h_vadd_vv; break;
     case Op::kVfaddVV: o.fn = h_vfadd_vv; break;
@@ -742,8 +772,8 @@ TOp ThreadedEngine::Impl::make_op(std::size_t slot) {
     case Op::kVindexmac2Vx: o.fn = h_vindexmac2_u; break;
     case Op::kVfindexmac2Vx: o.fn = h_vindexmac2_f; break;
     default:
-      // Fallback-class ops (SSR, illegal) never reach here: both the block
-      // builder and step() route them to Machine::step by flag.
+      // Fallback-class ops (SSR, illegal) never reach here: the block
+      // builder routes them to Machine::step by flag.
       IMAC_ASSERT(false, "threaded: no handler bound for " + isa::mnemonic(in.op));
   }
   return o;
@@ -764,6 +794,10 @@ Block* ThreadedEngine::Impl::build_block(std::size_t entry) {
   }
   b.n_ops = static_cast<std::uint32_t>(b.ops.size());
   b.fall_pc = b.entry_pc + 4ull * b.n_ops;
+  if (b.n_ops > trace_ops.size()) {
+    trace_ops.resize(b.n_ops);
+    trace_gather.resize(b.n_ops);
+  }
   blocks.push_back(std::move(b));
   Block& placed = blocks.back();
   build_fast(placed, entry);
@@ -955,6 +989,31 @@ Block* ThreadedEngine::Impl::lookup_block(std::uint64_t pc) {
   }
 }
 
+template <bool kTrace>
+StopReason ThreadedEngine::Impl::exec_block(const Block& b) {
+  Ctx ctx = make_ctx(b.fall_pc);
+  if constexpr (kTrace) {
+    ctx.rec = trace_ops.data();
+    ctx.gather = trace_gather.data();
+    std::size_t idx = 0;  // original op index of `op` within the block
+    for (const TOp& op : b.fast) {
+      if (op.chain != nullptr) {
+        run_chain<true>(ctx, *op.chain, idx);
+        idx += op.chain->op_count;
+      } else {
+        exec_op<true>(ctx, op, idx++);
+      }
+    }
+  } else {
+    for (const TOp& op : b.fast) op.fn(ctx, op);
+  }
+  m.state_.pc = ctx.next_pc;
+  m.state_.x[0] = 0;
+  m.retired_ += b.n_ops;
+  ++stats.block_runs;
+  return ctx.stop;
+}
+
 StopReason ThreadedEngine::Impl::run(std::uint64_t max_steps) {
   std::uint64_t budget = max_steps;
   while (budget > 0) {
@@ -979,14 +1038,9 @@ StopReason ThreadedEngine::Impl::run(std::uint64_t max_steps) {
       }
       break;
     }
-    Ctx ctx = make_ctx(b->fall_pc);
-    for (const TOp& op : b->fast) op.fn(ctx, op);
-    m.state_.pc = ctx.next_pc;
-    m.state_.x[0] = 0;
-    m.retired_ += b->n_ops;
     budget -= b->n_ops;
-    ++stats.block_runs;
-    if (ctx.stop != StopReason::kRunning) return ctx.stop;
+    const StopReason r = exec_block<false>(*b);
+    if (r != StopReason::kRunning) return r;
   }
   return StopReason::kMaxSteps;
 }
@@ -1015,37 +1069,24 @@ StopReason ThreadedEngine::Impl::run_with_breakpoints(const BreakpointSet& bps,
       } while (b != nullptr && budget > 0 && m.state_.pc >= lo && m.state_.pc < hi);
       continue;
     }
-    Ctx ctx = make_ctx(b->fall_pc);
-    for (const TOp& op : b->fast) op.fn(ctx, op);
-    m.state_.pc = ctx.next_pc;
-    m.state_.x[0] = 0;
-    m.retired_ += b->n_ops;
     budget -= b->n_ops;
-    ++stats.block_runs;
-    if (ctx.stop != StopReason::kRunning) return ctx.stop;
+    const StopReason r = exec_block<false>(*b);
+    if (r != StopReason::kRunning) return r;
   }
   return StopReason::kMaxSteps;
 }
 
-StopReason ThreadedEngine::Impl::step() {
-  const std::uint64_t pc = m.state_.pc;
-  if (pc < base || pc - base >= code_bytes || ((pc - base) & 3) != 0) {
+StopReason ThreadedEngine::Impl::run_block(BlockTrace& trace) {
+  Block* b = lookup_block(m.state_.pc);
+  if (b == nullptr) {
+    // Fallback-class op or out-of-range pc: one interpreter step (or its
+    // exact fault), with no records.
     ++stats.fallback_steps;
-    return m.step();  // raises the interpreter's exact out-of-range fault
-  }
-  const std::size_t slot = static_cast<std::size_t>((pc - base) >> 2);
-  if (info[slot].has(isa::kSiThreadedFallback)) {
-    ++stats.fallback_steps;
+    trace = BlockTrace{.count = 1};
     return m.step();
   }
-  TOp& op = step_ops[slot];
-  if (op.fn == nullptr) op = make_op(slot);
-  Ctx ctx = make_ctx(pc + 4);
-  op.fn(ctx, op);
-  m.state_.pc = ctx.next_pc;
-  m.state_.x[0] = 0;
-  ++m.retired_;
-  return ctx.stop;
+  trace = BlockTrace{.count = b->n_ops, .ops = trace_ops.data(), .gather = trace_gather.data()};
+  return exec_block<true>(*b);
 }
 
 ThreadedEngine::ThreadedEngine(Machine& machine) : impl_(std::make_unique<Impl>(machine)) {}
@@ -1056,7 +1097,7 @@ StopReason ThreadedEngine::run_with_breakpoints(const BreakpointSet& breakpoints
                                                 std::uint64_t max_steps) {
   return impl_->run_with_breakpoints(breakpoints, max_steps);
 }
-StopReason ThreadedEngine::step() { return impl_->step(); }
+StopReason ThreadedEngine::run_block(BlockTrace& trace) { return impl_->run_block(trace); }
 const ThreadedEngine::Stats& ThreadedEngine::stats() const { return impl_->stats; }
 Machine& ThreadedEngine::machine() { return impl_->m; }
 

@@ -11,20 +11,28 @@
 // loops ("superblocks") that track slid registers as element offsets
 // instead of copying 16 lanes per slide.
 //
+// Blocks are also the unit the timing model's trace consumes: run_block()
+// executes one whole block — fused chains included — and records, per
+// instruction, the pre-execution values a timing::DynInst is built from
+// (x[rs1], vl, gather offsets), so the trace never single-steps the engine.
+//
 // Correctness contract: every observable effect — architectural state,
 // memory contents, instructions_retired, marker-hook calls, stop reasons
 // and SimError text — is bit-identical to running the same program through
-// Machine::step. Anything outside the fast path falls back to the
-// interpreter: SSR stream ops and illegal encodings execute via
-// Machine::step, a chain whose runtime-resolved VRF row carries a pending
-// deferred slide replays its original per-op records, and out-of-range pcs
-// delegate to Machine::step so the fault text matches exactly.
+// Machine::step, and every run_block() record equals the value the
+// interpreter's state held before that instruction. Anything outside the
+// fast path falls back to the interpreter: SSR stream ops and illegal
+// encodings execute via Machine::step, a chain whose runtime-resolved VRF
+// row carries a pending deferred slide replays its original per-op
+// records, and out-of-range pcs delegate to Machine::step so the fault text
+// matches exactly.
 //
 // Block predecode is keyed by pc slot against the Program the Machine was
 // constructed with; Programs are immutable after construction, so the
 // cache never needs invalidation within a Machine's lifetime.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 
@@ -33,8 +41,26 @@
 
 namespace indexmac {
 
+/// Pre-execution values of one instruction of a traced block run.
+struct OpRecord {
+  /// x[rs1] before the instruction. Recorded for the ops whose trace entry
+  /// depends on it (memory ops, indexed MACs); unspecified for the rest.
+  std::uint64_t rs1 = 0;
+  std::uint32_t vl = 0;  ///< vl before the instruction
+};
+
+/// What one ThreadedEngine::run_block() call executed. The arrays alias
+/// engine storage, indexed by position in the block; they stay valid until
+/// the engine next executes anything.
+struct BlockTrace {
+  std::uint32_t count = 0;        ///< instructions retired by the call
+  const OpRecord* ops = nullptr;  ///< per instruction; null after a fallback step
+  /// vluxei32 entries: the index vector v[rs2] before the gather.
+  const std::array<std::uint32_t, isa::kVlMax>* gather = nullptr;
+};
+
 /// Threaded-code executor bound to one Machine. The Machine remains the
-/// owner of all architectural state; this engine is a faster stepper over
+/// owner of all architectural state; this engine is a faster executor over
 /// it, and interleaving ThreadedEngine and Machine::step calls is safe.
 class ThreadedEngine {
  public:
@@ -59,12 +85,14 @@ class ThreadedEngine {
   StopReason run_with_breakpoints(const BreakpointSet& breakpoints,
                                   std::uint64_t max_steps = 100'000'000);
 
-  /// Executes exactly one instruction through the pre-bound handler for
-  /// its pc slot (superblocks are not used here), with Machine::step's
-  /// exact observable semantics. This is what trace-driven timing runs use
-  /// under --engine=threaded: the per-instruction DynInst stream must be
-  /// identical to the interpreter's.
-  StopReason step();
+  /// Executes exactly one predecoded block starting at the current pc, with
+  /// superblock fusion, recording each instruction's pre-execution values
+  /// into `trace`. At a pc without a block (fallback-class op, out-of-range
+  /// pc) it instead executes one instruction through Machine::step (or
+  /// raises its exact fault) and records nothing, so a caller that needs
+  /// that instruction's pre-state reads it from the Machine first. Returns
+  /// the stop reason of the last instruction executed.
+  StopReason run_block(BlockTrace& trace);
 
   /// Execution counters (diagnostics; not architectural state).
   struct Stats {

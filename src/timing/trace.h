@@ -4,10 +4,26 @@
 // Wrong-path (mis-speculated) instructions are not simulated; the branch
 // mispredict penalty models the front-end refill (see docs/simplifications.md).
 //
+// The source advances the functional simulator one unit at a time and then
+// hands the unit's instructions out one by one:
+//   * on the interpreter, a unit is one Machine::step, and each DynInst is
+//     built from the architectural state just before it (the golden
+//     reference);
+//   * on the threaded engine, a unit is one whole predecoded block, fused
+//     chains included (ThreadedEngine::run_block), and each DynInst is
+//     built from the pre-execution values the block recorded. Fallback-
+//     class ops (SSR, illegal) stay single-instruction units read from the
+//     live state, exactly as on the interpreter.
+// Both build every DynInst through the same code from the same values, so
+// the streams are bit-identical. On the threaded engine the Machine can be
+// up to one block ahead of the last delivered instruction; next_pc() names
+// the instruction next() will deliver.
+//
 // The trace is zero-allocation: next() fills a caller-owned DynInst slot in
-// place, and gather addresses live in a fixed scratch buffer owned by the
-// TraceSource (vl never exceeds isa::kVlMax), so retiring an instruction —
-// gathers included — performs no heap allocation.
+// place, gather addresses live in a fixed scratch buffer owned by the
+// TraceSource (vl never exceeds isa::kVlMax), and block records live in
+// engine storage sized when the block was built, so retiring an
+// instruction — gathers included — performs no heap allocation.
 #pragma once
 
 #include <array>
@@ -47,17 +63,16 @@ struct DynInst {
   std::uint8_t ssr_ctl_mask = 0;
 };
 
-/// Pulls dynamic instructions from a functional Machine, one per step.
+/// Pulls dynamic instructions from a functional Machine.
 class TraceSource {
  public:
-  /// `stepper`, when non-null, replaces Machine::step as the advance
-  /// mechanism (--engine=threaded): it must be bound to `machine`, and its
-  /// step() contract guarantees the observable per-instruction stream —
-  /// and therefore every DynInst this source produces — is identical to
-  /// the interpreter's.
-  explicit TraceSource(Machine& machine, ThreadedEngine* stepper = nullptr)
+  /// `engine`, when non-null, advances `machine` block by block instead of
+  /// Machine::step (--engine=threaded); it must be bound to `machine`. The
+  /// DynInst stream is identical either way. Marker hooks on `machine` fire
+  /// as each block executes, which can be ahead of delivery.
+  explicit TraceSource(Machine& machine, ThreadedEngine* engine = nullptr)
       : machine_(machine),
-        stepper_(stepper),
+        engine_(engine),
         code_(machine.program().decoded().data()),
         info_(machine.program().static_info().data()),
         base_(machine.program().base()),
@@ -68,20 +83,72 @@ class TraceSource {
   /// itself is delivered with is_halt=true). `out.gather_addrs` aliases
   /// scratch storage owned by this TraceSource: it is overwritten by the
   /// following next() call and must not outlive it.
-  bool next(DynInst& out) {
+  bool next(DynInst& out) { return engine_ != nullptr ? next_block(out) : next_step(out); }
+
+  /// next() when the source has no engine: one Machine::step per call.
+  bool next_step(DynInst& out) {
     if (done_) return false;
+    return step_unit(out, slot_of(machine_.state().pc));
+  }
+
+  /// next() when the source has an engine: one run_block() per block.
+  bool next_block(DynInst& out) {
+    if (done_) return false;
+    if (pos_ == count_) {
+      // Block drained: the machine sits on the next undelivered pc.
+      const std::size_t slot = slot_of(machine_.state().pc);
+      if (info_[slot].has(isa::kSiThreadedFallback)) return step_unit(out, slot);
+      slot_ = slot;
+      stop_ = engine_->run_block(block_);
+      pos_ = 0;
+      count_ = block_.count;
+    }
+    const std::uint32_t i = pos_++;
+    const OpRecord& rec = block_.ops[i];
+    const isa::StaticInstInfo& si =
+        fill(out, slot_ + i, rec.rs1, rec.vl, block_.gather[i].data());
+    finish(out, si, pos_ == count_ ? stop_ : StopReason::kRunning);
+    return true;
+  }
+
+  /// The pc of the instruction the next next() call delivers (the machine's
+  /// pc once the current unit is drained).
+  [[nodiscard]] std::uint64_t next_pc() const {
+    return pos_ < count_ ? base_ + 4ull * (slot_ + pos_) : machine_.state().pc;
+  }
+
+ private:
+  /// Delivers the instruction in `slot` as a unit of its own, built from
+  /// the live pre-state: one Machine::step, or on the engine one fallback
+  /// step through run_block().
+  bool step_unit(DynInst& out, std::size_t slot) {
     const ArchState& pre = machine_.state();
-    const std::uint64_t pc = pre.pc;
+    const isa::Instruction& in = code_[slot];
+    const isa::StaticInstInfo& si = fill(out, slot, pre.x[in.rs1], pre.vl, pre.v[in.rs2].data());
+    finish(out, si, engine_ != nullptr ? engine_->run_block(block_) : machine_.step());
+    return true;
+  }
+
+  /// The program slot of `pc`; raises when pc is outside the program.
+  std::size_t slot_of(std::uint64_t pc) const {
     const std::uint64_t offset = pc - base_;
     if (pc < base_ || offset >= code_bytes_ || (offset & 3) != 0)
       raise("trace: " + describe_pc(machine_.program(), pc));
-    const std::size_t slot = offset >> 2;
+    return offset >> 2;
+  }
+
+  /// Builds the DynInst of the instruction in `slot` from the values it
+  /// reads before executing: x[rs1], vl and (gathers) the v[rs2] offsets.
+  /// SSR ops always run as single-instruction units, so their stream state
+  /// is read from the live machine, still pre-execution.
+  const isa::StaticInstInfo& fill(DynInst& out, std::size_t slot, std::uint64_t rs1,
+                                  std::uint32_t vl, const std::uint32_t* offsets) {
     const isa::Instruction& in = code_[slot];
     const isa::StaticInstInfo& si = info_[slot];
     out.inst = in;
     out.info = &si;
-    out.pc = pc;
-    out.vl = pre.vl;
+    out.pc = base_ + 4ull * slot;
+    out.vl = vl;
     out.mem_addr = 0;
     out.mem_bytes = 0;
     out.indirect_vreg = 0;
@@ -93,29 +160,27 @@ class TraceSource {
     out.marker_id = -1;
     out.ssr_ctl_mask = 0;
     if (si.has(isa::kSiGather)) {
-      const std::uint64_t base = pre.x[in.rs1];
-      for (unsigned i = 0; i < pre.vl; ++i) gather_scratch_[i] = base + pre.v[in.rs2][i];
-      out.gather_count = pre.vl;
-      out.mem_bytes = pre.vl * 4;
+      for (unsigned i = 0; i < vl; ++i) gather_scratch_[i] = rs1 + offsets[i];
+      out.gather_count = vl;
+      out.mem_bytes = vl * 4;
     } else if (si.has(isa::kSiScalarLoad | isa::kSiScalarStore)) {
-      out.mem_addr = pre.x[in.rs1] + static_cast<std::int64_t>(in.imm);
+      out.mem_addr = rs1 + static_cast<std::int64_t>(in.imm);
       out.mem_bytes = si.scalar_mem_bytes;
     } else if (si.has(isa::kSiVectorLoad | isa::kSiVectorStore)) {
-      out.mem_addr = pre.x[in.rs1];
-      out.mem_bytes = pre.vl * 4;
+      out.mem_addr = rs1;
+      out.mem_bytes = vl * 4;
     } else if (si.has(isa::kSiIndirectVreg)) {
-      const std::uint64_t packed = pre.x[in.rs1];
       if (si.has(isa::kSiPackedIndex)) {
-        out.indirect_vreg = static_cast<std::uint8_t>(16u | (packed & 0xf));
+        out.indirect_vreg = static_cast<std::uint8_t>(16u | (rs1 & 0xf));
         if (si.has(isa::kSiDualMac))
-          out.indirect_vreg2 = static_cast<std::uint8_t>(16u | ((packed >> 4) & 0xf));
+          out.indirect_vreg2 = static_cast<std::uint8_t>(16u | ((rs1 >> 4) & 0xf));
       } else {
-        out.indirect_vreg = static_cast<std::uint8_t>(packed & 0x1f);
+        out.indirect_vreg = static_cast<std::uint8_t>(rs1 & 0x1f);
       }
     } else if (si.has(isa::kSiSsrMac)) {
       // Streaming MAC: resolve the stream word addresses and the indirect
       // VRF source before the machine advances the stream positions. The
-      // machine itself raises on a disabled/empty stream during step().
+      // machine itself raises on a disabled/empty stream when it executes.
       const auto& streams = machine_.ssr();
       out.ssr_value_addr = streams[0].base + 4ull * streams[0].pos;
       out.ssr_index_addr = streams[1].base + 4ull * streams[1].pos;
@@ -123,28 +188,36 @@ class TraceSource {
         out.indirect_vreg = static_cast<std::uint8_t>(
             machine_.memory().read_u32(out.ssr_index_addr) & 0x1f);
     } else if (si.has(isa::kSiSsrCtl)) {
-      out.ssr_ctl_mask = in.op == isa::Op::kSsrCfg
-                             ? static_cast<std::uint8_t>(1u << in.rd)
-                             : static_cast<std::uint8_t>(pre.x[in.rs1] & 0xf);
+      out.ssr_ctl_mask = in.op == isa::Op::kSsrCfg ? static_cast<std::uint8_t>(1u << in.rd)
+                                                   : static_cast<std::uint8_t>(rs1 & 0xf);
     } else if (si.has(isa::kSiMarker)) {
       out.marker_id = in.imm;
     }
-    const StopReason stop = stepper_ ? stepper_->step() : machine_.step();
-    out.branch_taken =
-        si.has(isa::kSiBranch | isa::kSiJump) && machine_.state().pc != pc + 4;
-    out.is_halt = stop == StopReason::kEbreak || stop == StopReason::kEcall;
-    done_ = out.is_halt;
-    return true;
+    return si;
   }
 
- private:
+  /// Sets the outcome fields of `out` (whose static info is `si`) once its
+  /// unit has executed. Only a unit's last instruction can branch, jump or
+  /// halt, so the machine's pc is its successor and `stop` its stop reason.
+  void finish(DynInst& out, const isa::StaticInstInfo& si, StopReason stop) {
+    out.branch_taken =
+        si.has(isa::kSiBranch | isa::kSiJump) && machine_.state().pc != out.pc + 4;
+    out.is_halt = stop == StopReason::kEbreak || stop == StopReason::kEcall;
+    done_ = out.is_halt;
+  }
+
   Machine& machine_;
-  ThreadedEngine* stepper_;
+  ThreadedEngine* engine_;
   const isa::Instruction* code_;
   const isa::StaticInstInfo* info_;
   std::uint64_t base_;
   std::uint64_t code_bytes_;
   std::array<std::uint64_t, isa::kVlMax> gather_scratch_{};
+  BlockTrace block_;           ///< the engine block being delivered
+  std::size_t slot_ = 0;       ///< its first slot
+  std::uint32_t pos_ = 0;      ///< next instruction of it to deliver
+  std::uint32_t count_ = 0;    ///< its length (0: no block pending)
+  StopReason stop_ = StopReason::kRunning;  ///< its last instruction's stop reason
   bool done_ = false;
 };
 

@@ -15,10 +15,12 @@
 
 #include <random>
 #include <sstream>
+#include <string>
 
 #include "asm/assembler.h"
 #include "core/runner.h"
 #include "core/spmm_problem.h"
+#include "engine_programs.h"
 #include "fsim/machine.h"
 #include "fsim/threaded.h"
 #include "fsim/tracer.h"
@@ -426,11 +428,13 @@ TEST(DispatchStalls, IndependentVectorOpsMostlyBandwidthBound) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-vs-interpreter lockstep: the threaded-code engine's step() contract
-// promises the observable per-instruction stream — every DynInst field the
-// tracer derives — is identical to Machine::step's, not just the final state.
-// These tests hold it to that across all five registry algorithms and across
-// the random-program generator's seeds.
+// Engine-vs-interpreter lockstep: the block-granular trace on the threaded
+// engine (whole blocks, fused chains included, with recorded pre-execution
+// values) must hand out the same per-instruction stream — every DynInst
+// field — as the interpreter's step-by-step trace, not just reach the same
+// final state. These tests hold it to that across all five registry
+// algorithms, the random-program generator's seeds, and the chain corners
+// (bail replay, narrow vl, a fused chain right before a taken branch).
 
 ::testing::AssertionResult dyninsts_equal(const timing::DynInst& a, const timing::DynInst& b) {
   if (!(a.inst == b.inst)) return ::testing::AssertionFailure() << "inst encoding differs";
@@ -544,6 +548,41 @@ TEST(EngineLockstep, AllFiveAlgorithmsIdenticalTraceStreams) {
             ASSERT_EQ(ci.at(i, j), ct.at(i, j)) << "(" << i << "," << j << ")";
       }
     }
+}
+
+TEST(EngineLockstep, ChainCornerProgramsIdenticalTraceStreams) {
+  // Each program takes a different record path through a traced block: the
+  // chain-bail replay (a MAC row naming a slid register), the narrow-vl
+  // replay from the chain's first op, and a fused lane-MAC chain whose
+  // block exits through a taken branch.
+  struct Case {
+    const char* name;
+    Program program;
+    bool bails;  ///< the chain takes the per-op replay, not the fused path
+  };
+  const Case cases[] = {
+      {"slid-row bail", engine_programs::slid_row_bail_program(), true},
+      {"vl < 16 chain", engine_programs::narrow_vl_chain_program(), true},
+      {"chain before taken branch", engine_programs::chain_then_branch_program(9), false},
+  };
+  for (const auto& [name, program, bails] : cases) {
+    SCOPED_TRACE(name);
+    MainMemory imem;
+    Machine interp(program, imem);
+    timing::TraceSource isrc(interp);
+
+    MainMemory tmem;
+    Machine threaded_machine(program, tmem);
+    ThreadedEngine engine(threaded_machine);
+    timing::TraceSource tsrc(threaded_machine, &engine);
+
+    const std::uint64_t n = drain_lockstep(isrc, tsrc);
+    EXPECT_EQ(n, interp.instructions_retired());
+    EXPECT_TRUE(arch_states_equal(threaded_machine.state(), interp.state()));
+    EXPECT_EQ(engine.stats().fallback_steps, 0u);
+    EXPECT_EQ(engine.stats().chain_bails > 0, bails);
+    EXPECT_EQ(engine.stats().superblock_macs > 0, !bails);
+  }
 }
 
 TEST(EngineLockstep, RandomProgramsIdenticalTraceStreamsAndMemory) {

@@ -13,6 +13,7 @@
 #include "asm/assembler.h"
 #include "common/error.h"
 #include "core/spmm_problem.h"
+#include "engine_programs.h"
 #include "fsim/machine.h"
 #include "fsim/threaded.h"
 
@@ -165,77 +166,40 @@ TEST(Threaded, MarkerHookFiresIdentically) {
   EXPECT_EQ(ids_interp, ids_threaded);
 }
 
-/// Emits the canonical fusable inner-loop shape: a deferred-slide chain
-/// (vmv.x.s -> vindexmac -> vslide1down) the superblock builder fuses.
-void emit_chain_kernel(Assembler& a, int rows) {
-  const Assembler::Label loop = a.new_label();
-  a.li(x(1), static_cast<std::int64_t>(isa::kVlMax));
-  a.vsetvli_e32m1(x(0), x(1));
-  a.li(x(2), 3);
-  a.vmv_v_x(v(2), x(2));   // VRF rows the MAC indexes
-  a.li(x(2), -5);
-  a.vmv_v_x(v(3), x(2));
-  a.li(x(2), 0x01020304);
-  a.vmv_v_x(v(4), x(2));   // index words driving the indirect row choice
-  a.vmv_v_i(v(6), 0);      // accumulator
-  a.li(x(9), 0);
-  a.li(x(10), rows);
-  a.bind(loop);
-  a.vmv_x_s(x(5), v(4));   // chain: extract index word
-  a.andi(x(5), x(5), 3);
-  a.addi(x(5), x(5), 2);   // row 2 or 3
-  a.vindexmac_vx(v(6), v(4), x(5));
-  a.vslide1down_vx(v(4), v(4), x(0));
-  a.addi(x(9), x(9), 1);
-  a.blt(x(9), x(10), loop);
-  a.ebreak();
-}
-
 TEST(Threaded, FusedChainBitExact) {
   Assembler a;
-  emit_chain_kernel(a, 12);
+  engine_programs::emit_chain_kernel(a, 12);
   const Program p = a.finish();
   const ThreadedEngine::Stats stats = run_both(p);
   EXPECT_EQ(stats.fallback_steps, 0u);
 }
 
 TEST(Threaded, ChainBailsWhenMacNamesSlidRegister) {
-  // The MAC's runtime-resolved row is v4 — the very register the chain
-  // defers slides on — so the fused loop must bail and replay per-op.
-  Assembler a;
-  a.li(x(1), static_cast<std::int64_t>(isa::kVlMax));
-  a.vsetvli_e32m1(x(0), x(1));
-  a.li(x(2), 9);
-  a.vmv_v_x(v(4), x(2));
-  a.vmv_v_i(v(6), 1);
-  a.li(x(5), 4);                      // names row v4
-  a.vslide1down_vx(v(4), v(4), x(0));  // chain: slide first...
-  a.vindexmac_vx(v(6), v(7), x(5));    // ...then MAC reading the slid row
-  a.ebreak();
-  const Program p = a.finish();
-  const ThreadedEngine::Stats stats = run_both(p);
+  const ThreadedEngine::Stats stats = run_both(engine_programs::slid_row_bail_program());
   EXPECT_GE(stats.chain_bails, 1u);
 }
 
 TEST(Threaded, ChainBailsWhenVlBelowMax) {
-  Assembler a;
-  a.li(x(1), 7);  // vl = 7 < VLMAX: fused chains assume full-width lanes
-  a.vsetvli_e32m1(x(0), x(1));
-  a.li(x(2), 2);
-  a.vmv_v_x(v(2), x(2));
-  a.vmv_v_i(v(6), 0);
-  a.li(x(5), 2);
-  a.vslide1down_vx(v(4), v(4), x(0));
-  a.vindexmac_vx(v(6), v(4), x(5));
-  a.ebreak();
-  const Program p = a.finish();
-  const ThreadedEngine::Stats stats = run_both(p);
+  const ThreadedEngine::Stats stats = run_both(engine_programs::narrow_vl_chain_program());
   EXPECT_GE(stats.chain_bails, 1u);
 }
 
-TEST(Threaded, StepModeMatchesInterpreterLockstep) {
+TEST(Threaded, FusedChainBeforeTakenBranch) {
+  const ThreadedEngine::Stats stats = run_both(engine_programs::chain_then_branch_program(9));
+  EXPECT_EQ(stats.superblock_macs, 9u);
+  EXPECT_EQ(stats.chain_bails, 0u);
+}
+
+/// One instruction on the engine: a one-instruction budget, which the
+/// engine reports spent as kMaxSteps unless the instruction halted.
+StopReason run_one(ThreadedEngine& engine) {
+  const StopReason r = engine.run(1);
+  return r == StopReason::kMaxSteps ? StopReason::kRunning : r;
+}
+
+TEST(Threaded, SingleInstructionRunsMatchInterpreterLockstep) {
   Assembler a;
-  emit_chain_kernel(a, 5);
+  engine_programs::emit_chain_kernel(a, 5);
   const Program p = a.finish();
 
   MainMemory mem_a, mem_b;
@@ -244,8 +208,9 @@ TEST(Threaded, StepModeMatchesInterpreterLockstep) {
   ThreadedEngine engine(mach);
   for (std::uint64_t i = 0; i < 1'000'000; ++i) {
     const StopReason sa = interp.step();
-    const StopReason sb = engine.step();
+    const StopReason sb = run_one(engine);
     ASSERT_EQ(sa, sb) << "stop divergence at instruction " << i;
+    ASSERT_EQ(interp.instructions_retired(), mach.instructions_retired()) << "at " << i;
     ASSERT_TRUE(states_equal(interp.state(), mach.state()))
         << "state divergence at instruction " << i;
     if (sa != StopReason::kRunning) return;
@@ -255,7 +220,7 @@ TEST(Threaded, StepModeMatchesInterpreterLockstep) {
 
 TEST(Threaded, InterleavingEngineAndMachineStepIsSafe) {
   Assembler a;
-  emit_chain_kernel(a, 5);
+  engine_programs::emit_chain_kernel(a, 5);
   const Program p = a.finish();
 
   MainMemory mem_a, mem_b;
@@ -264,10 +229,11 @@ TEST(Threaded, InterleavingEngineAndMachineStepIsSafe) {
   ThreadedEngine engine(mach);
   for (std::uint64_t i = 0; i < 1'000'000; ++i) {
     const StopReason sa = interp.step();
-    // Alternate the stepper: the engine is a view over the Machine, so
+    // Alternate the executor: the engine is a view over the Machine, so
     // mixing the two must not desynchronize anything.
-    const StopReason sb = (i % 2 == 0) ? engine.step() : mach.step();
+    const StopReason sb = (i % 2 == 0) ? run_one(engine) : mach.step();
     ASSERT_EQ(sa, sb);
+    ASSERT_EQ(interp.instructions_retired(), mach.instructions_retired()) << "at " << i;
     ASSERT_TRUE(states_equal(interp.state(), mach.state())) << "at instruction " << i;
     if (sa != StopReason::kRunning) return;
   }
@@ -276,7 +242,7 @@ TEST(Threaded, InterleavingEngineAndMachineStepIsSafe) {
 
 TEST(Threaded, MaxStepsBudgetIsInstructionExact) {
   Assembler a;
-  emit_chain_kernel(a, 50);
+  engine_programs::emit_chain_kernel(a, 50);
   const Program p = a.finish();
   // Budgets that stop before the program, mid-block and mid-chain.
   for (const std::uint64_t budget : {1ull, 2ull, 13ull, 14ull, 60ull, 61ull, 100ull}) {

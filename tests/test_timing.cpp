@@ -3,8 +3,11 @@
 // and the vector->scalar round trip that the vindexmac optimization targets.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "asm/assembler.h"
 #include "common/error.h"
+#include "engine_programs.h"
 #include "timing/port_scheduler.h"
 #include "timing/timing_sim.h"
 
@@ -307,15 +310,43 @@ TEST(Timing, RunTwiceThrows) {
   EXPECT_THROW((void)sim.run(), SimError);
 }
 
+/// The SimError text of a timing run of `p` under `budget`, or "" when it
+/// finished.
+std::string budget_error(const Program& p, std::uint64_t budget, ExecEngine engine) {
+  MainMemory mem;
+  TimingSim sim(p, mem, ProcessorConfig{}, engine);
+  try {
+    (void)sim.run(budget);
+  } catch (const SimError& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(Timing, InstructionBudgetGuard) {
+  // A runaway program exhausts the budget. The error names the next
+  // undelivered instruction, byte-identically on both engines — also when
+  // the budget ends mid-block or mid-fused-chain, where the threaded
+  // engine's block trace has already run the machine past that pc.
   Assembler a;
   auto loop = a.new_label();
   a.bind(loop);
   a.j(loop);
-  MainMemory mem;
-  Program p = a.finish();
-  TimingSim sim(p, mem, ProcessorConfig{});
-  EXPECT_THROW((void)sim.run(1000), SimError);
+  const Program spin = a.finish();
+  const Program chain = engine_programs::chain_then_branch_program(0, /*runaway=*/true);
+  bool ended_mid_chain = false;
+  for (const Program* p : {&spin, &chain})
+    for (std::uint64_t budget = 1; budget <= 40; ++budget) {
+      const std::string interp = budget_error(*p, budget, ExecEngine::kInterp);
+      EXPECT_NE(interp.find("instruction budget of " + std::to_string(budget) + " exhausted"),
+                std::string::npos)
+          << interp;
+      EXPECT_EQ(interp, budget_error(*p, budget, ExecEngine::kThreaded)) << "budget " << budget;
+      // The chain is vmv.x.s -> vindexmac -> vslide1down: naming either of
+      // the last two means the budget ended inside it.
+      ended_mid_chain |= interp.find("vslide1down") != std::string::npos;
+    }
+  EXPECT_TRUE(ended_mid_chain);
 }
 
 // ---------- SSR stream-control line-buffer invalidation ----------

@@ -17,6 +17,7 @@
 #include "asm/assembler.h"
 #include "asm/text_assembler.h"
 #include "fsim/machine.h"
+#include "fsim/threaded.h"
 #include "kernels/spmv_kernel.h"
 #include "sparse/nm_matrix.h"
 #include "timing/trace.h"
@@ -74,30 +75,41 @@ Program build_spmv(MainMemory& mem, std::size_t rows, std::size_t k) {
 }
 
 TEST(TraceAllocation, NoHeapAllocationPerInstructionOnGatherKernel) {
-  MainMemory mem;
-  const Program program = build_spmv(mem, 8, 128);
-  {
-    // Materialize every page the kernel touches (first-touch page
-    // allocation is setup cost, not per-instruction cost).
-    Machine warmup(program, mem);
-    ASSERT_EQ(warmup.run(1'000'000), StopReason::kEbreak);
-  }
+  for (const bool threaded : {false, true}) {
+    SCOPED_TRACE(threaded ? "threaded block trace" : "interpreter trace");
+    MainMemory mem;
+    const Program program = build_spmv(mem, 8, 128);
+    Machine machine(program, mem);
+    ThreadedEngine engine(machine);
+    // Untimed warm-up: materializes every page the kernel touches
+    // (first-touch page allocation is setup cost, not per-instruction
+    // cost) and, on the engine, predecodes every block — block records
+    // are sized then. Then rewind to the reset state.
+    ASSERT_EQ(threaded ? engine.run(1'000'000) : machine.run(1'000'000), StopReason::kEbreak);
+    machine.state() = ArchState{};
+    machine.state().pc = program.base();
+    const ThreadedEngine::Stats warm = engine.stats();
 
-  Machine machine(program, mem);
-  TraceSource trace(machine);
-  DynInst d;
-  std::uint64_t instructions = 0;
-  std::uint64_t gathers = 0;
-  const std::uint64_t allocations_before = g_allocations.load();
-  while (trace.next(d)) {
-    ++instructions;
-    if (d.gather_count > 0) ++gathers;
+    TraceSource trace(machine, threaded ? &engine : nullptr);
+    DynInst d;
+    std::uint64_t instructions = 0;
+    std::uint64_t gathers = 0;
+    const std::uint64_t allocations_before = g_allocations.load();
+    while (trace.next(d)) {
+      ++instructions;
+      if (d.gather_count > 0) ++gathers;
+    }
+    const std::uint64_t allocations_after = g_allocations.load();
+    EXPECT_GT(instructions, 100u);
+    EXPECT_GT(gathers, 8u);  // the scenario actually exercises the gather path
+    EXPECT_EQ(allocations_after, allocations_before)
+        << "TraceSource::next allocated on a " << instructions << "-instruction trace";
+    if (threaded) {  // the drain ran whole warm blocks, not single steps
+      EXPECT_EQ(engine.stats().blocks_built, warm.blocks_built);
+      EXPECT_GT(engine.stats().block_runs, warm.block_runs);
+      EXPECT_EQ(engine.stats().fallback_steps, 0u);
+    }
   }
-  const std::uint64_t allocations_after = g_allocations.load();
-  EXPECT_GT(instructions, 100u);
-  EXPECT_GT(gathers, 8u);  // the scenario actually exercises the gather path
-  EXPECT_EQ(allocations_after, allocations_before)
-      << "TraceSource::next allocated on a " << instructions << "-instruction trace";
 }
 
 TEST(TraceAllocation, GatherScratchPointerIsStable) {
@@ -164,8 +176,10 @@ ReferenceRecord reference_next(Machine& machine) {
 TEST(TraceStream, BitIdenticalToReferenceOnMixedKernel) {
   // A hand-written kernel mixing every trace-relevant shape: scalar
   // loads/stores (4- and 8-byte), branches taken and not taken, vector
-  // unit-stride loads/stores, a gather, vindexmac (indirect vreg), a
-  // vector->scalar move, and a marker.
+  // unit-stride loads/stores, gathers (one overwriting its own index
+  // vector), vindexmac (indirect vreg), a vector->scalar move, and a
+  // marker. Checked on the interpreter's trace and on the threaded
+  // engine's block trace, whose records must hold the pre-state.
   const char* source = R"(
       lui   x1, 1          # x1 = 0x1000 (data)
       addi  x2, x0, 16
@@ -173,6 +187,7 @@ TEST(TraceStream, BitIdenticalToReferenceOnMixedKernel) {
       vle32.v v8, (x1)     # offsets for the gather
       addi  x3, x1, 256
       vluxei32.v v12, (x3), v8
+      vluxei32.v v8, (x3), v8
       addi  x4, x0, 30     # v30 as indirect source
       vmv.v.i v30, 3
       vmv.v.i v2, 1
@@ -195,46 +210,49 @@ TEST(TraceStream, BitIdenticalToReferenceOnMixedKernel) {
       ebreak
   )";
   const AssembledText assembled = assemble_text(source);
+  for (const bool threaded : {false, true}) {
+    SCOPED_TRACE(threaded ? "threaded block trace" : "interpreter trace");
+    MainMemory mem_a;
+    MainMemory mem_b;
+    std::vector<std::int32_t> offsets(16);
+    for (int i = 0; i < 16; ++i) offsets[i] = 4 * ((i * 7) % 16);
+    mem_a.write_i32s(0x1000, offsets);
+    mem_b.write_i32s(0x1000, offsets);
 
-  MainMemory mem_a;
-  MainMemory mem_b;
-  std::vector<std::int32_t> offsets(16);
-  for (int i = 0; i < 16; ++i) offsets[i] = 4 * ((i * 7) % 16);
-  mem_a.write_i32s(0x1000, offsets);
-  mem_b.write_i32s(0x1000, offsets);
+    Machine machine(assembled.program, mem_a);
+    Machine reference_machine(assembled.program, mem_b);
+    ThreadedEngine engine(machine);
+    TraceSource trace(machine, threaded ? &engine : nullptr);
 
-  Machine machine(assembled.program, mem_a);
-  Machine reference_machine(assembled.program, mem_b);
-  TraceSource trace(machine);
-
-  DynInst d;
-  std::uint64_t n = 0;
-  bool saw_gather = false, saw_indexmac = false, saw_marker = false;
-  while (trace.next(d)) {
-    const ReferenceRecord want = reference_next(reference_machine);
-    ASSERT_EQ(d.inst, want.inst) << "instruction " << n;
-    ASSERT_EQ(d.pc, want.pc) << "instruction " << n;
-    ASSERT_EQ(d.branch_taken, want.branch_taken) << "instruction " << n;
-    ASSERT_EQ(d.is_halt, want.is_halt) << "instruction " << n;
-    ASSERT_EQ(d.mem_addr, want.mem_addr) << "instruction " << n;
-    ASSERT_EQ(d.mem_bytes, want.mem_bytes) << "instruction " << n;
-    ASSERT_EQ(d.vl, want.vl) << "instruction " << n;
-    ASSERT_EQ(d.indirect_vreg, want.indirect_vreg) << "instruction " << n;
-    ASSERT_EQ(d.marker_id, want.marker_id) << "instruction " << n;
-    ASSERT_EQ(d.gather_count, want.gather_addrs.size()) << "instruction " << n;
-    for (std::uint32_t i = 0; i < d.gather_count; ++i)
-      ASSERT_EQ(d.gather_addrs[i], want.gather_addrs[i]) << "instruction " << n << " lane " << i;
-    ASSERT_NE(d.info, nullptr);
-    saw_gather |= d.gather_count > 0;
-    saw_indexmac |= d.info->has(isa::kSiIndirectVreg);
-    saw_marker |= d.marker_id >= 0;
-    ++n;
+    DynInst d;
+    std::uint64_t n = 0;
+    bool saw_gather = false, saw_indexmac = false, saw_marker = false;
+    while (trace.next(d)) {
+      const ReferenceRecord want = reference_next(reference_machine);
+      ASSERT_EQ(d.inst, want.inst) << "instruction " << n;
+      ASSERT_EQ(d.pc, want.pc) << "instruction " << n;
+      ASSERT_EQ(d.branch_taken, want.branch_taken) << "instruction " << n;
+      ASSERT_EQ(d.is_halt, want.is_halt) << "instruction " << n;
+      ASSERT_EQ(d.mem_addr, want.mem_addr) << "instruction " << n;
+      ASSERT_EQ(d.mem_bytes, want.mem_bytes) << "instruction " << n;
+      ASSERT_EQ(d.vl, want.vl) << "instruction " << n;
+      ASSERT_EQ(d.indirect_vreg, want.indirect_vreg) << "instruction " << n;
+      ASSERT_EQ(d.marker_id, want.marker_id) << "instruction " << n;
+      ASSERT_EQ(d.gather_count, want.gather_addrs.size()) << "instruction " << n;
+      for (std::uint32_t i = 0; i < d.gather_count; ++i)
+        ASSERT_EQ(d.gather_addrs[i], want.gather_addrs[i]) << "instruction " << n << " lane " << i;
+      ASSERT_NE(d.info, nullptr);
+      saw_gather |= d.gather_count > 0;
+      saw_indexmac |= d.info->has(isa::kSiIndirectVreg);
+      saw_marker |= d.marker_id >= 0;
+      ++n;
+    }
+    EXPECT_TRUE(saw_gather);
+    EXPECT_TRUE(saw_indexmac);
+    EXPECT_TRUE(saw_marker);
+    EXPECT_TRUE(d.is_halt);  // last delivered instruction was the ebreak
+    EXPECT_EQ(machine.instructions_retired(), reference_machine.instructions_retired());
   }
-  EXPECT_TRUE(saw_gather);
-  EXPECT_TRUE(saw_indexmac);
-  EXPECT_TRUE(saw_marker);
-  EXPECT_TRUE(d.is_halt);  // last delivered instruction was the ebreak
-  EXPECT_EQ(machine.instructions_retired(), reference_machine.instructions_retired());
 }
 
 }  // namespace

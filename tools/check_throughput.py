@@ -12,9 +12,17 @@ newly added scenario is unguarded until the baseline file is bumped, and
 the old behaviour of silently skipping it meant regressions in new
 scenarios could never fire. A baseline entry with zero/negative MIPS is
 malformed (a percent delta against it is undefined) and warns instead of
-dividing by zero. Always exits 0: the check is a soft gate — CI hardware
+dividing by zero. These per-scenario checks are a soft gate: CI hardware
 varies, so regressions warn rather than fail, and the uploaded
 BENCH_sim_throughput.json artifact carries the numbers.
+
+One check is hard and does not depend on the host: the MIPS of
+vector_heavy_threaded (the timing model fed by the threaded engine's
+block-granular trace) divided by the MIPS of vector_heavy (the same run fed
+by the interpreter) must reach THREADED_TRACE_FLOOR. Both numbers come
+from the same run of the same binary, so host speed cancels. The script
+exits 1 when the ratio is below the floor or either scenario is missing,
+and 0 otherwise.
 """
 
 import argparse
@@ -28,8 +36,37 @@ def load(path):
     return doc
 
 
+# The hard gate's pair (numerator, denominator) and its floor. Ten runs
+# each of an -O2 build on a 4-vCPU x86-64 host: with a per-instruction
+# threaded trace the ratio read 1.09-1.24, with the block trace 1.29-1.46.
+THREADED_TRACE_RATIO = ("vector_heavy_threaded", "vector_heavy")
+THREADED_TRACE_FLOOR = 1.25
+
+
 def scenario_map(doc):
     return {s["name"]: s for s in doc.get("scenarios", [])}
+
+
+def check_ratio(current_doc, floor=THREADED_TRACE_FLOOR):
+    """The host-independent hard gate over one report. Returns (lines,
+    failed): failed is True when the ratio is below `floor` or cannot be
+    formed (a scenario missing or at zero MIPS)."""
+    current = scenario_map(current_doc)
+    num_name, den_name = THREADED_TRACE_RATIO
+    num, den = current.get(num_name), current.get(den_name)
+    if num is None or den is None:
+        missing = num_name if num is None else den_name
+        return [f"::error::sim_throughput scenario '{missing}' missing: "
+                f"the {num_name}/{den_name} gate cannot run"], True
+    if den["mips"] <= 0:
+        return [f"::error::{den_name} reports {den['mips']:.2f} MIPS; "
+                f"the {num_name}/{den_name} ratio is undefined"], True
+    ratio = num["mips"] / den["mips"]
+    line = (f"{num_name}/{den_name} MIPS ratio {ratio:.2f} "
+            f"(floor {floor:.2f})")
+    if ratio < floor:
+        return [f"::error::{line}: below the floor"], True
+    return [line], False
 
 
 def compare(current_doc, baseline_doc, max_drop):
@@ -89,10 +126,12 @@ def main():
                         help="warn when MIPS drops more than this percent")
     args = parser.parse_args()
 
-    lines, _ = compare(load(args.current), load(args.baseline), args.max_drop)
-    for line in lines:
+    current = load(args.current)
+    lines, _ = compare(current, load(args.baseline), args.max_drop)
+    gate_lines, failed = check_ratio(current)
+    for line in lines + gate_lines:
         print(line)
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

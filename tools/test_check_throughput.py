@@ -75,5 +75,42 @@ class CompareTest(unittest.TestCase):
         self.assertTrue(any(l.startswith("tiny_sweep") and "1.2500s" in l for l in lines))
 
 
+class RatioGateTest(unittest.TestCase):
+    """The hard gate: vector_heavy_threaded MIPS / vector_heavy MIPS."""
+
+    def test_passes_at_the_floor(self):
+        lines, failed = check_throughput.check_ratio(
+            report([("vector_heavy", 10.0), ("vector_heavy_threaded", 20.0)]),
+            floor=2.0)
+        self.assertFalse(failed)
+        self.assertTrue(any("ratio 2.00 (floor 2.00)" in l for l in lines))
+        self.assertFalse(any(l.startswith("::error::") for l in lines))
+
+    def test_fails_below_the_floor(self):
+        lines, failed = check_throughput.check_ratio(
+            report([("vector_heavy", 10.0), ("vector_heavy_threaded", 19.0)]),
+            floor=2.0)
+        self.assertTrue(failed)
+        self.assertTrue(any(l.startswith("::error::") and "below the floor" in l
+                            for l in lines))
+
+    def test_missing_scenario_fails(self):
+        # Dropping a scenario from the bench must not switch the gate off.
+        for present in ("vector_heavy", "vector_heavy_threaded"):
+            lines, failed = check_throughput.check_ratio(
+                report([(present, 10.0)]), floor=2.0)
+            self.assertTrue(failed, present)
+            self.assertTrue(any("missing" in l for l in lines), present)
+
+    def test_zero_denominator_fails(self):
+        _, failed = check_throughput.check_ratio(
+            report([("vector_heavy", 0.0), ("vector_heavy_threaded", 20.0)]),
+            floor=2.0)
+        self.assertTrue(failed)
+
+    def test_default_floor_is_set(self):
+        self.assertGreater(check_throughput.THREADED_TRACE_FLOOR, 1.0)
+
+
 if __name__ == "__main__":
     unittest.main()
