@@ -10,8 +10,9 @@
 //   * vector_heavy   — exact indexmac SpMM run (vector dispatch + engine)
 //   * vector_heavy_threaded — the same run with the threaded engine driving
 //                      the trace block by block; its sim_cycles must equal
-//                      vector_heavy's, and its MIPS over vector_heavy's is
-//                      the host-independent ratio CI gates on
+//                      vector_heavy's, and its MIPS over vector_heavy's and
+//                      over fsim_vector_threaded's are the host-independent
+//                      ratios CI gates on
 //   * algorithm4     — the same SpMM on the packed-index/dual-row kernel;
 //                      its tracked sim_cycles, against vector_heavy's,
 //                      records the Algorithm 3 -> 4 cycle gain
@@ -83,9 +84,25 @@ struct ScenarioResult {
   }
 };
 
-/// One scenario's timed work: returns the dynamic-instruction count of one
-/// full timing-model execution.
-using Body = std::function<std::uint64_t()>;
+/// One repetition of a scenario: the dynamic instructions it ran and the
+/// seconds it spent on the clock.
+struct Rep {
+  std::uint64_t instructions = 0;
+  double seconds = 0;
+};
+
+/// One scenario's work: runs it once and times the part being measured.
+using Body = std::function<Rep()>;
+
+/// A body whose whole call is on the clock: `work` runs one full
+/// timing-model execution and returns its dynamic-instruction count.
+Body timed(std::function<std::uint64_t()> work) {
+  return [work = std::move(work)] {
+    const Clock::time_point start = Clock::now();
+    const std::uint64_t instructions = work();
+    return Rep{instructions, seconds_since(start)};
+  };
+}
 
 /// Runs each body `reps` times after one untimed warm-up. The bodies take
 /// turns rep by rep, so a change of host speed during the measurement hits
@@ -96,23 +113,49 @@ std::vector<ScenarioResult> measure_each(
   for (std::size_t i = 0; i < bodies.size(); ++i) {
     out[i].name = bodies[i].first;
     out[i].reps = reps;
-    out[i].instructions = bodies[i].second();  // warm-up; also yields the count
+    out[i].instructions = bodies[i].second().instructions;  // warm-up; also yields the count
     out[i].best_seconds = 1e30;
   }
   for (unsigned r = 0; r < reps; ++r)
     for (std::size_t i = 0; i < bodies.size(); ++i) {
-      const Clock::time_point start = Clock::now();
-      const std::uint64_t instructions = bodies[i].second();
-      const double elapsed = seconds_since(start);
-      IMAC_CHECK(instructions == out[i].instructions,
+      const Rep rep = bodies[i].second();
+      IMAC_CHECK(rep.instructions == out[i].instructions,
                  "sim_throughput: instruction count drifted between reps in " + out[i].name);
-      if (elapsed < out[i].best_seconds) out[i].best_seconds = elapsed;
+      if (rep.seconds < out[i].best_seconds) out[i].best_seconds = rep.seconds;
     }
   return out;
 }
 
 ScenarioResult measure(const std::string& name, unsigned reps, Body body) {
   return measure_each(reps, {{name, std::move(body)}})[0];
+}
+
+/// A functional execution alone (no timing model), named
+/// `<prefix>_<engine>`. Each call rebuilds pristine memory and a fresh
+/// Machine (and engine, so its block cache is cold: predecode cost is part
+/// of the contract being measured), but only the run itself is on the
+/// clock.
+template <typename Setup>
+std::pair<std::string, Body> fsim_body(const std::string& prefix, ExecEngine engine,
+                                       Setup setup) {
+  std::string name = prefix + "_" + exec_engine_name(engine);
+  Body body = [name, engine, setup] {
+    MainMemory mem;
+    const Program program = setup(mem);
+    Machine machine(program, mem);
+    const Clock::time_point start = Clock::now();
+    StopReason stop;
+    if (engine == ExecEngine::kThreaded) {
+      ThreadedEngine threaded(machine);
+      stop = threaded.run(2'000'000'000ull);
+    } else {
+      stop = machine.run(2'000'000'000ull);
+    }
+    const double elapsed = seconds_since(start);
+    IMAC_CHECK(stop == StopReason::kEbreak, "sim_throughput: " + name + " did not halt");
+    return Rep{machine.instructions_retired(), elapsed};
+  };
+  return {std::move(name), std::move(body)};
 }
 
 // ---- scenario bodies ----
@@ -148,32 +191,39 @@ AssembledText scalar_loop_program(unsigned scale) {
 ScenarioResult scalar_heavy(unsigned reps, unsigned scale) {
   const AssembledText assembled = scalar_loop_program(scale);
   MainMemory mem;
-  return measure("scalar_heavy", reps, [&] {
+  return measure("scalar_heavy", reps, timed([&] {
     timing::TimingSim sim(assembled.program, mem, timing::ProcessorConfig{});
     return sim.run().instructions;
-  });
+  }));
 }
 
 /// Exact indexmac SpMM run (vector dispatch, engine scoreboarding, vle32),
 /// driven by the interpreter (vector_heavy) and by the threaded engine's
-/// block trace (vector_heavy_threaded), measured in turns: CI gates on
-/// their MIPS ratio.
+/// block trace (vector_heavy_threaded), and the same program run by each
+/// functional engine alone (fsim_vector_interp / fsim_vector_threaded).
+/// All four take turns, so CI can gate on MIPS ratios between them.
 std::vector<ScenarioResult> vector_heavy(unsigned reps, unsigned scale) {
   const kernels::GemmDims dims{64 * scale, 256, 128};
   const core::SpmmProblem problem = core::SpmmProblem::random(dims, sparse::kSparsity14, 1);
   std::uint64_t cycles[2] = {0, 0};
-  const auto body = [&](ExecEngine engine, std::uint64_t& sim_cycles) -> Body {
-    return [&, engine] {
+  const auto body = [&](ExecEngine engine, std::uint64_t& sim_cycles) {
+    return timed([&, engine] {
       const core::RunConfig config{
           .algorithm = core::Algorithm::kIndexmac, .kernel = {}, .engine = engine};
       const auto r = core::run_exact(problem, config, timing::ProcessorConfig{});
       sim_cycles = r.stats.cycles;
       return r.stats.instructions;
-    };
+    });
+  };
+  const auto setup = [&](MainMemory& mem) {
+    const core::RunConfig config{.algorithm = core::Algorithm::kIndexmac, .kernel = {}};
+    return core::prepare(problem, config, mem).program;
   };
   std::vector<ScenarioResult> out =
       measure_each(reps, {{"vector_heavy", body(ExecEngine::kInterp, cycles[0])},
-                          {"vector_heavy_threaded", body(ExecEngine::kThreaded, cycles[1])}});
+                          {"vector_heavy_threaded", body(ExecEngine::kThreaded, cycles[1])},
+                          fsim_body("fsim_vector", ExecEngine::kInterp, setup),
+                          fsim_body("fsim_vector", ExecEngine::kThreaded, setup)});
   out[0].sim_cycles = cycles[0];
   out[1].sim_cycles = cycles[1];
   return out;
@@ -187,11 +237,11 @@ ScenarioResult algorithm4(unsigned reps, unsigned scale) {
   const core::SpmmProblem problem = core::SpmmProblem::random(dims, sparse::kSparsity14, 1);
   const core::RunConfig config{.algorithm = core::Algorithm::kIndexmac4, .kernel = {}};
   std::uint64_t cycles = 0;
-  ScenarioResult out = measure("algorithm4", reps, [&] {
+  ScenarioResult out = measure("algorithm4", reps, timed([&] {
     const auto r = core::run_exact(problem, config, timing::ProcessorConfig{});
     cycles = r.stats.cycles;
     return r.stats.instructions;
-  });
+  }));
   out.sim_cycles = cycles;
   return out;
 }
@@ -210,10 +260,10 @@ ScenarioResult gather_heavy(unsigned reps, unsigned scale) {
   mem.write_i32s(layout.a_offsets, packed.offsets);
   mem.write_f32s(layout.x_base, std::vector<float>(k, 0.5f));
   const Program program = kernels::emit_spmv_kernel(layout, kernels::ElemType::kF32);
-  return measure("gather_heavy", reps, [&] {
+  return measure("gather_heavy", reps, timed([&] {
     timing::TimingSim sim(program, mem, timing::ProcessorConfig{});
     return sim.run().instructions;
-  });
+  }));
 }
 
 /// The sampled estimator on a transformer-ish GEMM (what sweeps run).
@@ -221,66 +271,21 @@ ScenarioResult sampled(unsigned reps, unsigned scale) {
   const kernels::GemmDims dims{512 * scale, 512, 512};
   const core::RunConfig config{.algorithm = core::Algorithm::kIndexmac,
                                .kernel = {.unroll = 4}};
-  return measure("sampled", reps, [&] {
+  return measure("sampled", reps, timed([&] {
     return core::run_sampled(dims, sparse::kSparsity14, config, timing::ProcessorConfig{})
         .sample_stats.instructions;
-  });
+  }));
 }
 
 // ---- functional-engine scenarios (no timing model) ----
 
-/// Times one functional execution, setup excluded: each repetition rebuilds
-/// pristine memory and a fresh Machine (and engine, so its block cache is
-/// cold — predecode cost is part of the contract being measured), but only
-/// the run itself is on the clock. Rep 0 is an untimed warm-up that also
-/// pins the expected instruction count.
-template <typename Setup>
-ScenarioResult measure_fsim(const std::string& name, unsigned reps, ExecEngine engine,
-                            Setup&& setup) {
-  ScenarioResult out;
-  out.name = name;
-  out.reps = reps;
-  out.best_seconds = 1e30;
-  for (unsigned rep = 0; rep <= reps; ++rep) {
-    MainMemory mem;
-    const Program program = setup(mem);
-    Machine machine(program, mem);
-    const Clock::time_point start = Clock::now();
-    StopReason stop;
-    if (engine == ExecEngine::kThreaded) {
-      ThreadedEngine threaded(machine);
-      stop = threaded.run(2'000'000'000ull);
-    } else {
-      stop = machine.run(2'000'000'000ull);
-    }
-    const double elapsed = seconds_since(start);
-    IMAC_CHECK(stop == StopReason::kEbreak, "sim_throughput: " + name + " did not halt");
-    const std::uint64_t instructions = machine.instructions_retired();
-    if (rep == 0) {
-      out.instructions = instructions;
-      continue;
-    }
-    IMAC_CHECK(instructions == out.instructions,
-               "sim_throughput: instruction count drifted between reps in " + name);
-    if (elapsed < out.best_seconds) out.best_seconds = elapsed;
-  }
-  return out;
-}
-
-ScenarioResult fsim_scalar(unsigned reps, unsigned scale, ExecEngine engine) {
+/// The branchy scalar loop on the interpreter and on the threaded engine,
+/// measured in turns.
+std::vector<ScenarioResult> fsim_scalar(unsigned reps, unsigned scale) {
   const AssembledText assembled = scalar_loop_program(scale);
-  const std::string name = std::string("fsim_scalar_") + exec_engine_name(engine);
-  return measure_fsim(name, reps, engine, [&](MainMemory&) { return assembled.program; });
-}
-
-ScenarioResult fsim_vector(unsigned reps, unsigned scale, ExecEngine engine) {
-  const kernels::GemmDims dims{64 * scale, 256, 128};
-  const core::SpmmProblem problem = core::SpmmProblem::random(dims, sparse::kSparsity14, 1);
-  const core::RunConfig config{.algorithm = core::Algorithm::kIndexmac, .kernel = {}};
-  const std::string name = std::string("fsim_vector_") + exec_engine_name(engine);
-  return measure_fsim(name, reps, engine, [&](MainMemory& mem) {
-    return core::prepare(problem, config, mem).program;
-  });
+  const auto setup = [&](MainMemory&) { return assembled.program; };
+  return measure_each(reps, {fsim_body("fsim_scalar", ExecEngine::kInterp, setup),
+                             fsim_body("fsim_scalar", ExecEngine::kThreaded, setup)});
 }
 
 /// Wall-clock of the canonical golden sweep on one thread.
@@ -361,10 +366,7 @@ int main(int argc, char** argv) {
     scenarios.push_back(algorithm4(reps, scale));
     scenarios.push_back(gather_heavy(reps, scale));
     scenarios.push_back(sampled(reps, scale));
-    scenarios.push_back(fsim_scalar(reps, scale, indexmac::ExecEngine::kInterp));
-    scenarios.push_back(fsim_scalar(reps, scale, indexmac::ExecEngine::kThreaded));
-    scenarios.push_back(fsim_vector(reps, scale, indexmac::ExecEngine::kInterp));
-    scenarios.push_back(fsim_vector(reps, scale, indexmac::ExecEngine::kThreaded));
+    for (ScenarioResult& s : fsim_scalar(reps, scale)) scenarios.push_back(std::move(s));
     for (const ScenarioResult& s : scenarios)
       std::printf("%-20s %10llu instructions   best %8.4f s   %8.2f MIPS\n", s.name.c_str(),
                   static_cast<unsigned long long>(s.instructions), s.best_seconds, s.mips());

@@ -6,6 +6,44 @@
 
 namespace indexmac {
 
+std::size_t InflightFills::probe(std::uint64_t line) const {
+  std::size_t i = home(line);
+  while (occupied(i) && slots_[i].line != line) i = (i + 1) & kMask;
+  return i;
+}
+
+const std::uint64_t* InflightFills::find(std::uint64_t line) const {
+  const std::size_t i = probe(line);
+  return occupied(i) ? &slots_[i].ready : nullptr;
+}
+
+void InflightFills::insert(std::uint64_t line, std::uint64_t ready) {
+  IMAC_ASSERT(size_ < kMaxEntries, "in-flight fill table overflow");
+  const std::size_t i = probe(line);
+  IMAC_ASSERT(!occupied(i), "in-flight fill recorded twice");
+  slots_[i] = Slot{line, ready, epoch_};
+  ++size_;
+}
+
+void InflightFills::erase(std::uint64_t line) {
+  std::size_t hole = probe(line);
+  IMAC_ASSERT(occupied(hole), "erasing an unrecorded in-flight fill");
+  // Backward shift: pull later entries of the probe run into the hole
+  // unless their home slot lies cyclically in (hole, j].
+  for (std::size_t j = (hole + 1) & kMask; occupied(j); j = (j + 1) & kMask) {
+    if (((j - home(slots_[j].line)) & kMask) < ((j - hole) & kMask)) continue;
+    slots_[hole] = slots_[j];
+    hole = j;
+  }
+  slots_[hole].epoch = epoch_ - 1;
+  --size_;
+}
+
+void InflightFills::clear() {
+  ++epoch_;  // 64 bits: never wraps back to a stale slot's epoch
+  size_ = 0;
+}
+
 MemorySystem::MemorySystem(const MemHierConfig& config)
     : config_(config),
       l1i_(config.l1i),
@@ -13,22 +51,24 @@ MemorySystem::MemorySystem(const MemHierConfig& config)
       l2_(config.l2),
       l2_line_shift_(log2_exact(config.l2.line_bytes)),
       l1i_line_shift_(log2_exact(config.l1i.line_bytes)),
+      l2_bank_mask_(config.l2_banks - 1),
       l2_bank_free_(config.l2_banks, 0) {
-  IMAC_CHECK(config.l2_banks > 0, "L2 needs at least one bank");
+  IMAC_CHECK(is_pow2(config.l2_banks), "L2 bank count must be a power of two");
 }
 
 std::uint64_t MemorySystem::dram_line(std::uint64_t line_addr, std::uint64_t cycle) {
   // Merge with an in-flight fill of the same line if one exists.
-  if (const auto it = inflight_fills_.find(line_addr); it != inflight_fills_.end()) {
-    if (cycle < it->second) return it->second;
-    inflight_fills_.erase(it);
+  if (const std::uint64_t* ready = inflight_fills_.find(line_addr)) {
+    if (cycle < *ready) return *ready;
+    inflight_fills_.erase(line_addr);
   }
   const std::uint64_t start = std::max(cycle, dram_channel_free_);
   dram_channel_free_ = start + config_.dram_line_occupancy;
   const std::uint64_t ready = start + config_.dram_latency;
   ++stats_.dram_lines;
-  if (inflight_fills_.size() > 4096) inflight_fills_.clear();  // bound the merge window
-  inflight_fills_[line_addr] = ready;
+  // Bound the merge window: past 4096 lines in flight, forget them all.
+  if (inflight_fills_.size() == InflightFills::kMaxEntries) inflight_fills_.clear();
+  inflight_fills_.insert(line_addr, ready);
   inflight_max_ready_ = std::max(inflight_max_ready_, ready);
   return ready;
 }
@@ -39,13 +79,12 @@ std::uint64_t MemorySystem::pending_fill(std::uint64_t line_addr, std::uint64_t 
   // `cycle` is past every in-flight ready time no entry can delay it, so
   // the common steady-state hit skips the hash lookup.
   if (cycle >= inflight_max_ready_) return cycle;
-  const auto it = inflight_fills_.find(line_addr);
-  return (it != inflight_fills_.end() && cycle < it->second) ? it->second : cycle;
+  const std::uint64_t* ready = inflight_fills_.find(line_addr);
+  return (ready != nullptr && cycle < *ready) ? *ready : cycle;
 }
 
 std::uint64_t MemorySystem::l2_line(std::uint64_t line_addr, bool is_store, std::uint64_t cycle) {
-  const std::uint64_t bank_count = l2_bank_free_.size();
-  const std::uint64_t bank = (line_addr >> l2_line_shift_) % bank_count;
+  const std::uint64_t bank = (line_addr >> l2_line_shift_) & l2_bank_mask_;
   const std::uint64_t start = std::max(cycle, l2_bank_free_[bank]);
   l2_bank_free_[bank] = start + config_.l2_bank_occupancy;
 

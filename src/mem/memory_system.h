@@ -12,7 +12,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "mem/cache.h"
 
@@ -23,7 +23,7 @@ struct MemHierConfig {
   CacheConfig l1i{.size_bytes = 64 * 1024, .ways = 4, .line_bytes = 64, .hit_latency = 1};
   CacheConfig l1d{.size_bytes = 64 * 1024, .ways = 4, .line_bytes = 64, .hit_latency = 2};
   CacheConfig l2{.size_bytes = 512 * 1024, .ways = 8, .line_bytes = 64, .hit_latency = 8};
-  unsigned l2_banks = 8;
+  unsigned l2_banks = 8;            ///< a power of two
   unsigned l2_bank_occupancy = 2;   ///< cycles a bank is busy per access
   unsigned dram_latency = 100;      ///< cycles from request to first data
   unsigned dram_line_occupancy = 7; ///< channel cycles per 64B line (~19.2 GB/s @2 GHz)
@@ -53,6 +53,50 @@ struct MemStats {
     a.dram_lines -= b.dram_lines;
     return a;
   }
+};
+
+/// The in-flight DRAM fills of a MemorySystem: line address -> data-ready
+/// cycle, holding at most kMaxEntries lines. Open addressing with linear
+/// probing and backward-shift erase over a power-of-two slot array, so a
+/// lookup is a multiply, a shift and a probe or two; clear() bumps an epoch
+/// instead of touching the slots.
+class InflightFills {
+ public:
+  /// MemorySystem clears the table before it would exceed this.
+  static constexpr std::size_t kMaxEntries = 4097;
+
+  InflightFills() : slots_(kSlots) {}
+
+  /// The ready cycle of `line`'s fill, or nullptr when none is recorded.
+  [[nodiscard]] const std::uint64_t* find(std::uint64_t line) const;
+  /// Records a fill of `line`, which must not be recorded yet.
+  void insert(std::uint64_t line, std::uint64_t ready);
+  /// Drops `line`'s fill, which must be recorded.
+  void erase(std::uint64_t line);
+  void clear();
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+ private:
+  static constexpr unsigned kSlotBits = 13;  // 8192 slots: at most half full
+  static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
+  static constexpr std::size_t kMask = kSlots - 1;
+
+  struct Slot {
+    std::uint64_t line = 0;
+    std::uint64_t ready = 0;
+    std::uint64_t epoch = 0;  ///< occupied when equal to epoch_
+  };
+
+  static std::size_t home(std::uint64_t line) {
+    return static_cast<std::size_t>((line * 0x9E3779B97F4A7C15ull) >> (64 - kSlotBits));
+  }
+  [[nodiscard]] bool occupied(std::size_t i) const { return slots_[i].epoch == epoch_; }
+  /// The slot holding `line`, or the empty slot ending its probe run.
+  [[nodiscard]] std::size_t probe(std::uint64_t line) const;
+
+  std::vector<Slot> slots_;
+  std::uint64_t epoch_ = 1;
+  std::size_t size_ = 0;
 };
 
 class MemorySystem {
@@ -95,11 +139,12 @@ class MemorySystem {
   Cache l2_;
   unsigned l2_line_shift_ = 0;  ///< log2(l2.line_bytes): bank/line math without divisions
   unsigned l1i_line_shift_ = 0;
+  std::uint64_t l2_bank_mask_ = 0;  ///< l2_banks - 1 (a power of two)
   std::vector<std::uint64_t> l2_bank_free_;
   std::uint64_t dram_channel_free_ = 0;
-  std::unordered_map<std::uint64_t, std::uint64_t> inflight_fills_;  ///< line -> ready cycle
+  InflightFills inflight_fills_;
   /// Upper bound on every ready cycle in inflight_fills_: accesses at or
-  /// past it skip the hash lookup entirely (pure fast path; stale entries
+  /// past it skip the table lookup entirely (pure fast path; stale entries
   /// would have returned `cycle` unchanged anyway).
   std::uint64_t inflight_max_ready_ = 0;
   MemStats stats_;

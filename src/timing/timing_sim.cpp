@@ -25,11 +25,25 @@ struct PendingStore {
   std::uint64_t data_ready = 0;
 };
 
+/// Rejects vector-engine rates the per-instruction math would divide by.
+const ProcessorConfig& checked(const ProcessorConfig& config) {
+  if (config.vector.lanes == 0) raise("timing: VectorEngineConfig::lanes must be positive");
+  if (config.vector.gather_lanes == 0)
+    raise("timing: VectorEngineConfig::gather_lanes must be positive");
+  return config;
+}
+
+/// Engine cycles to stream `vl` elements at `per_cycle` elements a cycle
+/// (at least one, also for vl = 0).
+std::uint32_t occupancy_cycles(std::uint32_t vl, unsigned per_cycle) {
+  return static_cast<std::uint32_t>(ceil_div(std::max<std::uint32_t>(vl, 1), per_cycle));
+}
+
 class Model {
  public:
   Model(const Program& program, MainMemory& memory, const ProcessorConfig& config,
         ExecEngine engine, TimingStats& stats, std::vector<MarkerEvent>& markers)
-      : config_(config),
+      : config_(checked(config)),
         machine_(program, memory),
         engine_(engine == ExecEngine::kThreaded ? std::make_unique<ThreadedEngine>(machine_)
                                                 : nullptr),
@@ -57,6 +71,13 @@ class Model {
     vlat_cycles_[static_cast<int>(isa::VLatClass::kMove)] = config_.vector.move_latency;
     vlat_cycles_[static_cast<int>(isa::VLatClass::kReduction)] =
         config_.vector.reduction_latency;
+    // Likewise the lane-rate divisions, for every vl the trace can carry.
+    for (std::uint32_t vl = 0; vl <= isa::kVlMax; ++vl) {
+      occupancy_[vl] = occupancy_cycles(vl, config_.vector.lanes);
+      gather_occupancy_[vl] = occupancy_cycles(vl, config_.vector.gather_lanes);
+    }
+    for (std::uint32_t i = 0; i < isa::kVlMax; ++i)
+      gather_slot_[i] = i / config_.vector.gather_lanes;
   }
 
   void run(std::uint64_t max_instructions) {
@@ -298,8 +319,7 @@ class Model {
       }
     }
 
-    const std::uint64_t occupancy =
-        std::max<std::uint64_t>(1, ceil_div(std::max<std::uint32_t>(d.vl, 1), vc.lanes));
+    const std::uint64_t occupancy = occupancy_[d.vl];
     std::uint64_t e_issue = std::max({send + vc.dispatch_latency, engine_next_issue_, deps});
 
     std::uint64_t ready_for_rob = send;  // most vector ops complete at send
@@ -310,15 +330,13 @@ class Model {
       e_issue = std::max(e_issue, vlq_.available(e_issue));
       std::uint64_t done = e_issue + 1;
       for (std::uint32_t i = 0; i < d.gather_count; ++i) {
-        const std::uint64_t start = e_issue + 1 + i / vc.gather_lanes;
+        const std::uint64_t start = e_issue + 1 + gather_slot_[i];
         done = std::max(done, mem_.vector_data(d.gather_addrs[i], 4, false, start));
       }
       vlq_.claim(done);
       v_ready_[d.inst.rd] = done;
       ++stats_.vector_loads;
-      engine_next_issue_ =
-          e_issue + std::max<std::uint64_t>(1, ceil_div(std::max<std::uint32_t>(d.vl, 1),
-                                                        vc.gather_lanes));
+      engine_next_issue_ = e_issue + gather_occupancy_[d.vl];
       viq_.claim(e_issue);
       return ready_for_rob;
     }
@@ -368,9 +386,9 @@ class Model {
   std::unique_ptr<ThreadedEngine> engine_;  ///< present under ExecEngine::kThreaded
   TraceSource trace_;
   MemorySystem mem_;
-  PortScheduler fetch_ports_;
-  PortScheduler issue_ports_;
-  PortScheduler commit_ports_;
+  InOrderPorts fetch_ports_;   ///< requests fetch_blocked_until_, which only grows
+  PortScheduler issue_ports_;  ///< out-of-order requests
+  InOrderPorts commit_ports_;  ///< in order, at or after the last commit
   SlotPool rob_;
   SlotPool lsq_;
   SlotPool viq_;
@@ -385,6 +403,11 @@ class Model {
 
   /// Engine latency per isa::VLatClass, resolved from the config once.
   std::array<unsigned, static_cast<int>(isa::VLatClass::kCount)> vlat_cycles_{};
+  /// Engine occupancy per vl: at `lanes`, and for gathers at `gather_lanes`.
+  std::array<std::uint32_t, isa::kVlMax + 1> occupancy_{};
+  std::array<std::uint32_t, isa::kVlMax + 1> gather_occupancy_{};
+  /// Cycle offset, after issue, at which gather element i is addressed.
+  std::array<std::uint32_t, isa::kVlMax> gather_slot_{};
 
   /// SSR stream-side line buffers (value stream 0, index stream 1): the
   /// last fetched 64-byte line and the cycle it becomes usable. Invalidated

@@ -21,6 +21,14 @@
 //     stalling dependent scalar work - the round trip both algorithms pay
 //     per non-zero (twice for Row-Wise-SpMM, once for vindexmac).
 //
+// Per-cycle width limits (timing/port_scheduler.h): fetch and commit are
+// in-order counters (InOrderPorts), exact because their requests never go
+// back in time - fetch asks for the fetch-blocked cycle, which only grows
+// at mispredicts, and commit asks for max(ready, previous commit). Issue
+// is out of order and keeps the windowed PortScheduler. No per-instruction
+// step divides: the lane-rate quotients (engine occupancy per vl, gather
+// address slots) are tables built per run, and the L2 bank is a mask.
+//
 // See docs/simplifications.md for the deliberate simplifications.
 #pragma once
 

@@ -3,7 +3,10 @@
 // and the vector->scalar round trip that the vindexmac optimization targets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <string>
+#include <tuple>
 
 #include "asm/assembler.h"
 #include "common/error.h"
@@ -46,6 +49,88 @@ TEST(PortScheduler, WindowSlidesForward) {
   const std::uint64_t c = ports.claim(0);
   EXPECT_GE(c, 1'000'000u - 64);
 }
+
+TEST(PortScheduler, RejectsNonPowerOfTwoWindow) {
+  EXPECT_THROW(PortScheduler(1, 100), SimError);
+  EXPECT_THROW(PortScheduler(1, 0), SimError);
+  EXPECT_THROW(PortScheduler(0), SimError);
+}
+
+TEST(InOrderPorts, WidthLimitsPerCycle) {
+  InOrderPorts ports(2);
+  EXPECT_EQ(ports.claim(10), 10u);
+  EXPECT_EQ(ports.claim(10), 10u);
+  EXPECT_EQ(ports.claim(10), 11u);  // third request spills to the next cycle
+  EXPECT_EQ(ports.claim(11), 11u);  // fills the frontier cycle
+  EXPECT_EQ(ports.claim(11), 12u);
+  EXPECT_EQ(ports.claim(20), 20u);  // past the frontier: a fresh cycle
+}
+
+TEST(InOrderPorts, LaggingRequestsFollowTheFrontier) {
+  // Fetch between restarts: the request stays put while the claims fill
+  // one cycle after another.
+  InOrderPorts ports(8);
+  for (std::uint64_t n = 0; n < 100; ++n) EXPECT_EQ(ports.claim(3), 3 + n / 8) << n;
+}
+
+TEST(InOrderPorts, RejectsZeroWidth) { EXPECT_THROW(InOrderPorts(0), SimError); }
+
+/// Feeds InOrderPorts and the windowed PortScheduler the same
+/// non-decreasing request stream and requires identical answers, at the
+/// model's 4096-cycle window and at a 64-cycle one. Streams mix runs of
+/// equal requests (fetch between restarts: the request lags further and
+/// further behind the frontier, past the small window's clamp), small
+/// steps, requests just past the frontier, jumps past either window, and
+/// commit-style requests at max(ready, previous answer).
+class InOrderPortsEquivalence
+    : public ::testing::TestWithParam<std::tuple<unsigned, std::size_t>> {};
+
+TEST_P(InOrderPortsEquivalence, MatchesWindowedSchedulerOnNonDecreasingStreams) {
+  const auto [width, window] = GetParam();
+  for (const unsigned seed : {1u, 2u, 3u}) {
+    InOrderPorts fast(width);
+    PortScheduler reference(width, window);
+    std::mt19937 rng(seed * 100 + width);
+    std::uniform_int_distribution<int> pick_kind(0, 99);
+    std::uniform_int_distribution<std::uint64_t> small(1, 3);
+    std::uniform_int_distribution<std::uint64_t> jump(4096, 20000);
+    std::uniform_int_distribution<std::uint64_t> run_length(1, 64);
+    std::uniform_int_distribution<std::uint64_t> ready_skew(0, 12);
+    std::uint64_t request = 0;
+    std::uint64_t last = 0;  // the previous answer: the frontier
+    for (int i = 0; i < 20000; ++i) {
+      const int kind = pick_kind(rng);
+      std::uint64_t repeats = 1;
+      if (i % 1000 == 500) {
+        repeats = 80 * width;  // lag the frontier by 80 cycles
+      } else if (kind < 30) {
+        repeats = run_length(rng);  // a run of equal requests
+      } else if (kind < 55) {
+        request += small(rng);
+      } else if (kind < 60) {
+        request = last + jump(rng);
+      } else if (kind < 70) {
+        request = std::max(request, last + 1);  // just past the frontier
+      } else {
+        // Commit: ready somewhere around the frontier, never before the
+        // previous commit.
+        const std::uint64_t ready = last + ready_skew(rng);
+        request = std::max({request, ready >= 6 ? ready - 6 : 0, last});
+      }
+      for (std::uint64_t r = 0; r < repeats; ++r) {
+        const std::uint64_t want = reference.claim(request);
+        ASSERT_EQ(fast.claim(request), want)
+            << "width " << width << " seed " << seed << " step " << i << " request " << request;
+        last = want;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(WidthsAndWindows, InOrderPortsEquivalence,
+                         ::testing::Combine(::testing::Range(1u, 9u),
+                                            ::testing::Values(std::size_t{64},
+                                                              std::size_t{4096})));
 
 TEST(SlotPool, BlocksWhenAllSlotsHeld) {
   SlotPool pool(2);
@@ -481,6 +566,34 @@ TEST(Timing, ThreadedEngineProducesIdenticalStatsAndMarkers) {
     EXPECT_EQ(tsim.markers()[i].cycle, isim.markers()[i].cycle);
     EXPECT_EQ(tsim.markers()[i].instructions, isim.markers()[i].instructions);
   }
+}
+
+/// The SimError text of constructing and running a timing model under
+/// `config`, or "" when it ran.
+std::string config_error(const ProcessorConfig& config) {
+  Assembler a;
+  a.ebreak();
+  MainMemory mem;
+  const Program p = a.finish();
+  TimingSim sim(p, mem, config);
+  try {
+    (void)sim.run();
+  } catch (const SimError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Timing, ZeroVectorLanesIsRejected) {
+  ProcessorConfig config;
+  config.vector.lanes = 0;
+  EXPECT_NE(config_error(config).find("VectorEngineConfig::lanes"), std::string::npos);
+}
+
+TEST(Timing, ZeroGatherLanesIsRejected) {
+  ProcessorConfig config;
+  config.vector.gather_lanes = 0;
+  EXPECT_NE(config_error(config).find("VectorEngineConfig::gather_lanes"), std::string::npos);
 }
 
 TEST(Timing, ConfigDescribeMentionsTableOneNumbers) {

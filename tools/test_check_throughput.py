@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Unit tests for check_throughput.compare (stdlib only).
+"""Unit tests for check_throughput: compare and the hard ratio gates (stdlib only).
 
 Regression coverage for two bugs the original script shipped with:
   * scenarios present only in the current report were silently skipped
@@ -9,7 +9,11 @@ Regression coverage for two bugs the original script shipped with:
     now it warns about the malformed entry instead.
 """
 
+import json
+import os
+import tempfile
 import unittest
+from unittest import mock
 
 import check_throughput
 
@@ -110,6 +114,79 @@ class RatioGateTest(unittest.TestCase):
 
     def test_default_floor_is_set(self):
         self.assertGreater(check_throughput.THREADED_TRACE_FLOOR, 1.0)
+
+
+class ModelCostGateTest(unittest.TestCase):
+    """The second hard gate: vector_heavy_threaded MIPS / fsim_vector_threaded
+    MIPS, the timing model's cost relative to the functional engine."""
+
+    PAIR = check_throughput.MODEL_COST_RATIO
+
+    def gate(self, scenarios, floor=0.15):
+        return check_throughput.check_ratio(report(scenarios), floor=floor, pair=self.PAIR)
+
+    def test_pair_is_model_over_fsim(self):
+        self.assertEqual(self.PAIR, ("vector_heavy_threaded", "fsim_vector_threaded"))
+
+    def test_passes_at_the_floor(self):
+        lines, failed = self.gate([("fsim_vector_threaded", 200.0),
+                                   ("vector_heavy_threaded", 30.0)])
+        self.assertFalse(failed)
+        self.assertTrue(any("vector_heavy_threaded/fsim_vector_threaded MIPS ratio 0.15 "
+                            "(floor 0.15)" in l for l in lines))
+        self.assertFalse(any(l.startswith("::error::") for l in lines))
+
+    def test_fails_below_the_floor(self):
+        lines, failed = self.gate([("fsim_vector_threaded", 200.0),
+                                   ("vector_heavy_threaded", 29.0)])
+        self.assertTrue(failed)
+        self.assertTrue(any(l.startswith("::error::") and "below the floor" in l
+                            for l in lines))
+
+    def test_missing_scenario_fails(self):
+        for present in self.PAIR:
+            lines, failed = self.gate([(present, 10.0)])
+            self.assertTrue(failed, present)
+            self.assertTrue(any("missing" in l for l in lines), present)
+
+    def test_zero_denominator_fails(self):
+        lines, failed = self.gate([("fsim_vector_threaded", 0.0),
+                                   ("vector_heavy_threaded", 30.0)])
+        self.assertTrue(failed)
+        self.assertTrue(any("undefined" in l for l in lines))
+
+    def test_default_floor_is_set(self):
+        self.assertGreater(check_throughput.MODEL_COST_FLOOR, 0.0)
+        self.assertLess(check_throughput.MODEL_COST_FLOOR, 1.0)
+
+
+class MainTest(unittest.TestCase):
+    """main() exits 1 when either hard gate fails."""
+
+    def run_main(self, scenarios):
+        with tempfile.TemporaryDirectory() as tmp:
+            current = os.path.join(tmp, "current.json")
+            with open(current, "w", encoding="utf-8") as f:
+                json.dump(report(scenarios), f)
+            argv = ["check_throughput.py", current, current]
+            with mock.patch("sys.argv", argv), mock.patch("builtins.print"):
+                return check_throughput.main()
+
+    def test_both_gates_pass(self):
+        fsim = 100.0
+        model = fsim * check_throughput.MODEL_COST_FLOOR * 1.01
+        interp = model / (check_throughput.THREADED_TRACE_FLOOR * 1.01)
+        self.assertEqual(self.run_main([("vector_heavy", interp),
+                                        ("vector_heavy_threaded", model),
+                                        ("fsim_vector_threaded", fsim)]), 0)
+
+    def test_model_cost_gate_fails_the_run(self):
+        fsim = 100.0
+        model = fsim * check_throughput.MODEL_COST_FLOOR * 0.9
+        interp = model / check_throughput.THREADED_TRACE_FLOOR / 2
+        self.assertEqual(self.run_main([("vector_heavy", interp),
+                                        ("vector_heavy_threaded", model),
+                                        ("fsim_vector_threaded", fsim)]), 1)
 
 
 if __name__ == "__main__":
