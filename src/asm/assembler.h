@@ -152,13 +152,17 @@ class Assembler {
   void nop();
   void j(Label target);
 
+  // --- raw emission (the text assembler's path) ---
+  /// Appends `inst` as is; encode() checks its fields at finish().
+  void emit(const isa::Instruction& inst);
+  /// Appends a PC-relative `inst` whose imm becomes the offset to `target`.
+  void emit(const isa::Instruction& inst, Label target);
+
   /// Resolves all labels and produces the program at `base`.
   /// The assembler must not be reused afterwards.
   [[nodiscard]] Program finish(std::uint64_t base = 0x1000);
 
  private:
-  void emit(const isa::Instruction& inst);
-  void emit_branch(isa::Op op, XReg rs1, XReg rs2, Label target);
 
   struct Fixup {
     std::size_t index;  ///< instruction slot to patch

@@ -7,6 +7,7 @@
 
 #include "asm/assembler.h"
 #include "common/error.h"
+#include "isa/op_table.h"
 
 namespace indexmac {
 namespace {
@@ -177,22 +178,19 @@ class Parser {
     return Operand{Operand::Kind::kSymbol, 0, 0, t};
   }
 
-  XReg xop(const Operand& o) const {
-    fail_if(o.kind != Operand::Kind::kXReg, "expected x register");
-    return x(o.reg);
+  /// The register (or the base register of a memory operand) of `o`.
+  std::uint8_t reg(const Operand& o, Operand::Kind kind, const char* expected) const {
+    fail_if(o.kind != kind, std::string("expected ") + expected);
+    return static_cast<std::uint8_t>(o.reg);
   }
-  FReg fop(const Operand& o) const {
-    fail_if(o.kind != Operand::Kind::kFReg, "expected f register");
-    return f(o.reg);
-  }
-  VReg vop(const Operand& o) const {
-    fail_if(o.kind != Operand::Kind::kVReg, "expected v register");
-    return v(o.reg);
-  }
+  XReg xop(const Operand& o) const { return x(reg(o, Operand::Kind::kXReg, "x register")); }
   std::int32_t iop(const Operand& o) const {
     fail_if(o.kind != Operand::Kind::kImm, "expected immediate");
-    fail_if(o.imm < INT32_MIN || o.imm > INT32_MAX, "immediate out of 32-bit range");
-    return static_cast<std::int32_t>(o.imm);
+    return int32(o.imm);
+  }
+  std::int32_t int32(std::int64_t value) const {
+    fail_if(value < INT32_MIN || value > INT32_MAX, "immediate out of 32-bit range");
+    return static_cast<std::int32_t>(value);
   }
   Assembler::Label target(const Operand& o) {
     fail_if(o.kind != Operand::Kind::kSymbol, "expected label operand");
@@ -212,7 +210,7 @@ class Parser {
         if (!cur.empty()) ops.push_back(parse_operand(cur));
       }
     }
-    dispatch(mnem, ops);
+    if (!pseudo(mnem, ops)) assemble(mnem, ops);
   }
 
   void expect(std::size_t want, std::size_t got) const {
@@ -220,115 +218,68 @@ class Parser {
                              std::to_string(got));
   }
 
-  void dispatch(const std::string& m, std::vector<Operand>& o) {
-    auto mem = [&](std::size_t i) {
-      fail_if(o[i].kind != Operand::Kind::kMem, "expected mem operand 'off(reg)'");
-      return std::make_pair(x(o[i].reg), static_cast<std::int32_t>(o[i].imm));
-    };
-    // Pseudo-instructions first.
-    if (m == "li") { expect(2, o.size()); asm_.li(xop(o[0]), o[1].imm); return; }
-    if (m == "mv") { expect(2, o.size()); asm_.mv(xop(o[0]), xop(o[1])); return; }
-    if (m == "nop") { expect(0, o.size()); asm_.nop(); return; }
-    if (m == "j") { expect(1, o.size()); asm_.j(target(o[0])); return; }
+  /// Expands the four pseudo-instructions; false when `m` is none of them.
+  bool pseudo(const std::string& m, const std::vector<Operand>& o) {
+    if (m == "li") { expect(2, o.size()); asm_.li(xop(o[0]), iop(o[1])); return true; }
+    if (m == "mv") { expect(2, o.size()); asm_.mv(xop(o[0]), xop(o[1])); return true; }
+    if (m == "nop") { expect(0, o.size()); asm_.nop(); return true; }
+    if (m == "j") { expect(1, o.size()); asm_.j(target(o[0])); return true; }
+    return false;
+  }
 
-    if (m == "lui") { expect(2, o.size()); asm_.lui(xop(o[0]), iop(o[1])); return; }
-    if (m == "auipc") { expect(2, o.size()); asm_.auipc(xop(o[0]), iop(o[1])); return; }
-    if (m == "jal") { expect(2, o.size()); asm_.jal(xop(o[0]), target(o[1])); return; }
-    if (m == "jalr") {
-      expect(2, o.size());
-      auto [base, off] = mem(1);
-      asm_.jalr(xop(o[0]), base, off);
-      return;
-    }
-    if (m == "beq") { expect(3, o.size()); asm_.beq(xop(o[0]), xop(o[1]), target(o[2])); return; }
-    if (m == "bne") { expect(3, o.size()); asm_.bne(xop(o[0]), xop(o[1]), target(o[2])); return; }
-    if (m == "blt") { expect(3, o.size()); asm_.blt(xop(o[0]), xop(o[1]), target(o[2])); return; }
-    if (m == "bge") { expect(3, o.size()); asm_.bge(xop(o[0]), xop(o[1]), target(o[2])); return; }
-    if (m == "bltu") { expect(3, o.size()); asm_.bltu(xop(o[0]), xop(o[1]), target(o[2])); return; }
-    if (m == "bgeu") { expect(3, o.size()); asm_.bgeu(xop(o[0]), xop(o[1]), target(o[2])); return; }
-    if (m == "lw" || m == "lwu" || m == "ld") {
-      expect(2, o.size());
-      auto [base, off] = mem(1);
-      if (m == "lw") asm_.lw(xop(o[0]), base, off);
-      else if (m == "lwu") asm_.lwu(xop(o[0]), base, off);
-      else asm_.ld(xop(o[0]), base, off);
-      return;
-    }
-    if (m == "sw" || m == "sd") {
-      expect(2, o.size());
-      auto [base, off] = mem(1);
-      if (m == "sw") asm_.sw(xop(o[0]), base, off);
-      else asm_.sd(xop(o[0]), base, off);
-      return;
-    }
-    if (m == "flw") { expect(2, o.size()); auto [b, off] = mem(1); asm_.flw(fop(o[0]), b, off); return; }
-    if (m == "fsw") { expect(2, o.size()); auto [b, off] = mem(1); asm_.fsw(fop(o[0]), b, off); return; }
-    if (m == "addi") { expect(3, o.size()); asm_.addi(xop(o[0]), xop(o[1]), iop(o[2])); return; }
-    if (m == "slti") { expect(3, o.size()); asm_.slti(xop(o[0]), xop(o[1]), iop(o[2])); return; }
-    if (m == "sltiu") { expect(3, o.size()); asm_.sltiu(xop(o[0]), xop(o[1]), iop(o[2])); return; }
-    if (m == "xori") { expect(3, o.size()); asm_.xori(xop(o[0]), xop(o[1]), iop(o[2])); return; }
-    if (m == "ori") { expect(3, o.size()); asm_.ori(xop(o[0]), xop(o[1]), iop(o[2])); return; }
-    if (m == "andi") { expect(3, o.size()); asm_.andi(xop(o[0]), xop(o[1]), iop(o[2])); return; }
-    if (m == "slli") { expect(3, o.size()); asm_.slli(xop(o[0]), xop(o[1]), static_cast<unsigned>(iop(o[2]))); return; }
-    if (m == "srli") { expect(3, o.size()); asm_.srli(xop(o[0]), xop(o[1]), static_cast<unsigned>(iop(o[2]))); return; }
-    if (m == "srai") { expect(3, o.size()); asm_.srai(xop(o[0]), xop(o[1]), static_cast<unsigned>(iop(o[2]))); return; }
-    if (m == "add") { expect(3, o.size()); asm_.add(xop(o[0]), xop(o[1]), xop(o[2])); return; }
-    if (m == "sub") { expect(3, o.size()); asm_.sub(xop(o[0]), xop(o[1]), xop(o[2])); return; }
-    if (m == "sll") { expect(3, o.size()); asm_.sll(xop(o[0]), xop(o[1]), xop(o[2])); return; }
-    if (m == "slt") { expect(3, o.size()); asm_.slt(xop(o[0]), xop(o[1]), xop(o[2])); return; }
-    if (m == "sltu") { expect(3, o.size()); asm_.sltu(xop(o[0]), xop(o[1]), xop(o[2])); return; }
-    if (m == "xor") { expect(3, o.size()); asm_.xor_(xop(o[0]), xop(o[1]), xop(o[2])); return; }
-    if (m == "srl") { expect(3, o.size()); asm_.srl(xop(o[0]), xop(o[1]), xop(o[2])); return; }
-    if (m == "sra") { expect(3, o.size()); asm_.sra(xop(o[0]), xop(o[1]), xop(o[2])); return; }
-    if (m == "or") { expect(3, o.size()); asm_.or_(xop(o[0]), xop(o[1]), xop(o[2])); return; }
-    if (m == "and") { expect(3, o.size()); asm_.and_(xop(o[0]), xop(o[1]), xop(o[2])); return; }
-    if (m == "mul") { expect(3, o.size()); asm_.mul(xop(o[0]), xop(o[1]), xop(o[2])); return; }
-    if (m == "ecall") { expect(0, o.size()); asm_.ecall(); return; }
-    if (m == "ebreak") { expect(0, o.size()); asm_.ebreak(); return; }
-    if (m == "marker") { expect(1, o.size()); asm_.marker(iop(o[0])); return; }
-    if (m == "vsetvli") {
-      // Accept "vsetvli rd, rs1, e32m1" (symbol) or explicit vtype immediate.
-      expect(3, o.size());
-      if (o[2].kind == Operand::Kind::kSymbol) {
-        fail_if(o[2].symbol != "e32m1", "only e32m1 vtype is supported");
-      } else {
-        fail_if(iop(o[2]) != isa::kVtypeE32M1, "only e32m1 vtype is supported");
+  /// Fills the fields of a table op from its operands in the row's syntax,
+  /// checks them with the encoder, and emits the instruction.
+  void assemble(const std::string& m, const std::vector<Operand>& o) {
+    using isa::Slot;
+    const Op op = isa::find_op(m);
+    fail_if(op == Op::kIllegal, "unknown mnemonic '" + m + "'");
+    const isa::Syntax& syntax = isa::op_info(op).syntax;
+    std::size_t arity = 0;
+    while (arity < syntax.size() && syntax[arity].slot != Slot::kNone) ++arity;
+    expect(arity, o.size());
+
+    isa::Instruction inst{op};
+    std::optional<Assembler::Label> label_target;
+    for (std::size_t i = 0; i < arity; ++i) {
+      const isa::Arg arg = syntax[i];
+      std::uint8_t& field = isa::field(inst, arg.field);
+      switch (arg.slot) {
+        case Slot::kX: field = reg(o[i], Operand::Kind::kXReg, "x register"); break;
+        case Slot::kF: field = reg(o[i], Operand::Kind::kFReg, "f register"); break;
+        case Slot::kV: field = reg(o[i], Operand::Kind::kVReg, "v register"); break;
+        case Slot::kImm: inst.imm = iop(o[i]); break;
+        case Slot::kMem:
+          field = reg(o[i], Operand::Kind::kMem, "mem operand 'off(reg)'");
+          inst.imm = int32(o[i].imm);
+          break;
+        case Slot::kVMem:
+          field = reg(o[i], Operand::Kind::kMem, "mem operand '(reg)'");
+          fail_if(o[i].imm != 0, m + " takes a plain '(reg)' address, not an offset");
+          break;
+        case Slot::kTarget: label_target = target(o[i]); break;
+        case Slot::kStream: {
+          const std::int32_t id = iop(o[i]);
+          fail_if(id < 0 || id > 31, "stream id out of range");
+          field = static_cast<std::uint8_t>(id);
+          break;
+        }
+        case Slot::kVtype:
+          // "e32m1" or its numeric vtype, the form disassemble() prints.
+          fail_if(o[i].kind == Operand::Kind::kSymbol ? o[i].symbol != "e32m1"
+                                                      : iop(o[i]) != isa::kVtypeE32M1,
+                  "only e32m1 vtype is supported");
+          inst.imm = isa::kVtypeE32M1;
+          break;
+        case Slot::kNone: break;
       }
-      asm_.vsetvli_e32m1(xop(o[0]), xop(o[1]));
-      return;
     }
-    if (m == "vle32.v") { expect(2, o.size()); asm_.vle32(vop(o[0]), mem(1).first); return; }
-    if (m == "vse32.v") { expect(2, o.size()); asm_.vse32(vop(o[0]), mem(1).first); return; }
-    if (m == "vadd.vx") { expect(3, o.size()); asm_.vadd_vx(vop(o[0]), vop(o[1]), xop(o[2])); return; }
-    if (m == "vadd.vi") { expect(3, o.size()); asm_.vadd_vi(vop(o[0]), vop(o[1]), iop(o[2])); return; }
-    if (m == "vadd.vv") { expect(3, o.size()); asm_.vadd_vv(vop(o[0]), vop(o[1]), vop(o[2])); return; }
-    if (m == "vfadd.vv") { expect(3, o.size()); asm_.vfadd_vv(vop(o[0]), vop(o[1]), vop(o[2])); return; }
-    if (m == "vmul.vv") { expect(3, o.size()); asm_.vmul_vv(vop(o[0]), vop(o[1]), vop(o[2])); return; }
-    if (m == "vfmul.vv") { expect(3, o.size()); asm_.vfmul_vv(vop(o[0]), vop(o[1]), vop(o[2])); return; }
-    if (m == "vredsum.vs") { expect(3, o.size()); asm_.vredsum_vs(vop(o[0]), vop(o[1]), vop(o[2])); return; }
-    if (m == "vfredusum.vs") { expect(3, o.size()); asm_.vfredusum_vs(vop(o[0]), vop(o[1]), vop(o[2])); return; }
-    if (m == "vluxei32.v") { expect(3, o.size()); asm_.vluxei32(vop(o[0]), mem(1).first, vop(o[2])); return; }
-    if (m == "vmacc.vx") { expect(3, o.size()); asm_.vmacc_vx(vop(o[0]), xop(o[1]), vop(o[2])); return; }
-    if (m == "vfmacc.vf") { expect(3, o.size()); asm_.vfmacc_vf(vop(o[0]), fop(o[1]), vop(o[2])); return; }
-    if (m == "vmv.v.x") { expect(2, o.size()); asm_.vmv_v_x(vop(o[0]), xop(o[1])); return; }
-    if (m == "vmv.v.i") { expect(2, o.size()); asm_.vmv_v_i(vop(o[0]), iop(o[1])); return; }
-    if (m == "vmv.x.s") { expect(2, o.size()); asm_.vmv_x_s(xop(o[0]), vop(o[1])); return; }
-    if (m == "vfmv.f.s") { expect(2, o.size()); asm_.vfmv_f_s(fop(o[0]), vop(o[1])); return; }
-    if (m == "vmv.s.x") { expect(2, o.size()); asm_.vmv_s_x(vop(o[0]), xop(o[1])); return; }
-    if (m == "vslidedown.vx") { expect(3, o.size()); asm_.vslidedown_vx(vop(o[0]), vop(o[1]), xop(o[2])); return; }
-    if (m == "vslidedown.vi") { expect(3, o.size()); asm_.vslidedown_vi(vop(o[0]), vop(o[1]), iop(o[2])); return; }
-    if (m == "vslide1down.vx") { expect(3, o.size()); asm_.vslide1down_vx(vop(o[0]), vop(o[1]), xop(o[2])); return; }
-    if (m == "vindexmac.vx") { expect(3, o.size()); asm_.vindexmac_vx(vop(o[0]), vop(o[1]), xop(o[2])); return; }
-    if (m == "vfindexmac.vx") { expect(3, o.size()); asm_.vfindexmac_vx(vop(o[0]), vop(o[1]), xop(o[2])); return; }
-    if (m == "vindexmacp.vx") { expect(3, o.size()); asm_.vindexmacp_vx(vop(o[0]), vop(o[1]), xop(o[2])); return; }
-    if (m == "vfindexmacp.vx") { expect(3, o.size()); asm_.vfindexmacp_vx(vop(o[0]), vop(o[1]), xop(o[2])); return; }
-    if (m == "vindexmac2.vx") { expect(3, o.size()); asm_.vindexmac2_vx(vop(o[0]), vop(o[1]), xop(o[2])); return; }
-    if (m == "vfindexmac2.vx") { expect(3, o.size()); asm_.vfindexmac2_vx(vop(o[0]), vop(o[1]), xop(o[2])); return; }
-    if (m == "ssrcfg") { expect(3, o.size()); asm_.ssrcfg(static_cast<unsigned>(iop(o[0])), xop(o[1]), xop(o[2])); return; }
-    if (m == "ssren") { expect(1, o.size()); asm_.ssren(xop(o[0])); return; }
-    if (m == "vindexmacs.v") { expect(1, o.size()); asm_.vindexmacs_v(vop(o[0])); return; }
-    if (m == "vfindexmacs.v") { expect(1, o.size()); asm_.vfindexmacs_v(vop(o[0])); return; }
-    fail("unknown mnemonic '" + m + "'");
+    try {
+      (void)isa::encode(inst);  // range checks, reported against this line
+    } catch (const SimError& e) {
+      fail(e.what());
+    }
+    if (label_target) asm_.emit(inst, *label_target);
+    else asm_.emit(inst);
   }
 
   std::uint64_t base_;
@@ -349,13 +300,18 @@ AssembledText assemble_text(const std::string& source, std::uint64_t base) {
 }
 
 std::string program_to_source(const Program& program) {
-  // PC-relative instructions carry their target as a byte offset; collect
-  // the absolute targets and name them in address order.
-  const auto is_pc_relative = [](isa::Op op) { return isa::is_branch(op) || op == isa::Op::kJal; };
+  // PC-relative instructions (branches, and the jump without a base
+  // register) carry their target as a byte offset; collect the absolute
+  // targets and name them in address order.
   const std::vector<isa::Instruction>& decoded = program.decoded();
+  std::vector<bool> pc_relative(decoded.size());
+  for (std::size_t i = 0; i < decoded.size(); ++i) {
+    const isa::StaticInstInfo& si = program.static_info()[i];
+    pc_relative[i] = si.has(isa::kSiBranch) || (si.has(isa::kSiJump) && !si.has(isa::kSiReadsXRs1));
+  }
   std::map<std::uint64_t, unsigned> labels;  // target address -> label number
   for (std::size_t i = 0; i < decoded.size(); ++i) {
-    if (!is_pc_relative(decoded[i].op)) continue;
+    if (!pc_relative[i]) continue;
     const std::uint64_t target =
         program.base() + 4 * i + static_cast<std::uint64_t>(static_cast<std::int64_t>(decoded[i].imm));
     IMAC_CHECK(target >= program.base() && target <= program.end() && (target & 3) == 0,
@@ -376,7 +332,7 @@ std::string program_to_source(const Program& program) {
     if (const auto it = labels.find(pc); it != labels.end())
       out += label_name(it->second) + ":\n";
     std::string line = isa::disassemble(decoded[i]);
-    if (is_pc_relative(decoded[i].op)) {
+    if (pc_relative[i]) {
       // The offset is always the trailing operand; swap it for the label.
       const std::uint64_t target =
           pc + static_cast<std::uint64_t>(static_cast<std::int64_t>(decoded[i].imm));

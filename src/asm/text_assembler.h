@@ -1,6 +1,8 @@
 // A small text-form assembler for the supported subset, accepting the same
 // syntax that isa::disassemble() emits plus labels, comments, and ABI
 // register names. Useful for examples and for writing kernels by hand.
+// Mnemonics and operand shapes come from the instruction table
+// (isa/op_table.h); only li/mv/nop/j are expanded here.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +21,9 @@ struct AssembledText {
 };
 
 /// Assembles `source` (one instruction or "label:" per line; '#' and "//"
-/// comments). Throws SimError with a line-numbered message on any error.
+/// comments). Throws SimError with a line-numbered message on any error,
+/// including out-of-range immediates, which the encoder checks as each
+/// line is parsed.
 [[nodiscard]] AssembledText assemble_text(const std::string& source,
                                           std::uint64_t base = 0x1000);
 

@@ -15,13 +15,14 @@ std::pair<TraceRecord, StopReason> Tracer::step() {
   rec.inst = machine_.program().at(pre.pc);
   rec.disasm = isa::disassemble(rec.inst);
   rec.vl = pre.vl;
+  const isa::StaticInstInfo& si = machine_.program().info_at(pre.pc);
 
   const StopReason stop = machine_.step();
 
   const ArchState& post = machine_.state();
-  if (isa::writes_x(rec.inst)) rec.x_write = post.x[rec.inst.rd];
-  if (isa::writes_f(rec.inst)) rec.f_write = post.f[rec.inst.rd];
-  rec.v_write = isa::writes_v(rec.inst);
+  if (si.has(isa::kSiWritesX)) rec.x_write = post.x[rec.inst.rd];
+  if (si.has(isa::kSiWritesF)) rec.f_write = post.f[rec.inst.rd];
+  rec.v_write = si.has(isa::kSiWritesV);
   return {rec, stop};
 }
 

@@ -5,8 +5,9 @@
 // vector-engine latency class, memory access size — is a pure function of
 // the decoded Instruction, so Program computes it once per PC slot at load
 // time and both fsim::Machine and timing::Model consume the cached table.
-// The isa::reads_*/writes_*/is_* predicates stay the single source of
-// truth: predecode() is defined in terms of them.
+// The single source of truth is the op's row in the instruction table
+// (isa/op_table.h): predecode() returns the row's StaticInstInfo plus the
+// operand-dependent part (no x write when rd is x0).
 #pragma once
 
 #include <cstdint>

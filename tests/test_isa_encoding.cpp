@@ -1,8 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <vector>
+
+#include "asm/program.h"
+#include "asm/text_assembler.h"
+#include "common/bitutil.h"
 #include "common/error.h"
 #include "isa/encoding.h"
 #include "isa/isa.h"
+#include "isa/static_info.h"
+
+#ifndef INDEXMAC_GOLDEN_DIR
+#error "tests/CMakeLists.txt must define INDEXMAC_GOLDEN_DIR"
+#endif
 
 namespace indexmac::isa {
 namespace {
@@ -242,12 +255,23 @@ TEST(IsaEncoding, DisassembleProducesExpectedText) {
   EXPECT_EQ(disassemble(Instruction{Op::kVfindexmacsV, 3, 0, 0, 0}), "vfindexmacs.v v3");
 }
 
+constexpr unsigned kOpCount = static_cast<unsigned>(Op::kVfindexmacsV) + 1;
+
+/// Every op of the subset, in Op order (everything but kIllegal).
+std::vector<Op> all_ops() {
+  std::vector<Op> ops;
+  for (unsigned i = 1; i < kOpCount; ++i) ops.push_back(static_cast<Op>(i));
+  return ops;
+}
+
 class AllOpsRoundTrip : public ::testing::TestWithParam<Op> {};
 
-TEST_P(AllOpsRoundTrip, EncodeDecodeIdentity) {
+TEST_P(AllOpsRoundTrip, EncodeDecodeAndTextIdentity) {
   const Op op = GetParam();
   // Pick operands that are legal for every op class; fields an op does not
-  // encode must be zero for the round trip to be an identity.
+  // encode must be zero for the round trip to be an identity. PC-relative
+  // offsets point just past the one-instruction program, which
+  // program_to_source() can still name with a label.
   Instruction inst{op, 1, 2, 3, 0};
   switch (op) {
     case Op::kVsetvli: inst = Instruction{op, 1, 2, 0, kVtypeE32M1}; break;
@@ -257,7 +281,7 @@ TEST_P(AllOpsRoundTrip, EncodeDecodeIdentity) {
     case Op::kLui: case Op::kAuipc:
       inst = Instruction{op, 1, 0, 0, 5}; break;
     case Op::kJal:
-      inst = Instruction{op, 1, 0, 0, 8}; break;
+      inst = Instruction{op, 1, 0, 0, 4}; break;
     case Op::kJalr: case Op::kLw: case Op::kLwu: case Op::kLd: case Op::kFlw:
     case Op::kAddi: case Op::kSlti: case Op::kSltiu: case Op::kXori:
     case Op::kOri: case Op::kAndi:
@@ -266,7 +290,7 @@ TEST_P(AllOpsRoundTrip, EncodeDecodeIdentity) {
       inst = Instruction{op, 1, 2, 0, 3}; break;
     case Op::kBeq: case Op::kBne: case Op::kBlt:
     case Op::kBge: case Op::kBltu: case Op::kBgeu:
-      inst = Instruction{op, 0, 2, 3, 8}; break;
+      inst = Instruction{op, 0, 2, 3, 4}; break;
     case Op::kVmvXS: case Op::kVfmvFS:
       inst = Instruction{op, 1, 0, 3, 0}; break;
     case Op::kVmvVX: case Op::kVmvSX:
@@ -287,57 +311,145 @@ TEST_P(AllOpsRoundTrip, EncodeDecodeIdentity) {
   }
   std::string err;
   EXPECT_EQ(decode(encode(inst), &err), inst) << mnemonic(op) << ": " << err;
+  // The text form reassembles to the same word.
+  const Program program(0x1000, {encode(inst)});
+  const std::string source = program_to_source(program);
+  EXPECT_EQ(assemble_text(source, program.base()).program.words(), program.words())
+      << mnemonic(op) << ":\n" << source;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    EverySupportedOp, AllOpsRoundTrip,
-    ::testing::Values(
-        Op::kLui, Op::kAuipc, Op::kJal, Op::kJalr, Op::kBeq, Op::kBne, Op::kBlt, Op::kBge,
-        Op::kBltu, Op::kBgeu, Op::kLw, Op::kLwu, Op::kLd, Op::kSw, Op::kSd, Op::kFlw, Op::kFsw,
-        Op::kAddi, Op::kSlti, Op::kSltiu, Op::kXori, Op::kOri, Op::kAndi, Op::kSlli, Op::kSrli,
-        Op::kSrai, Op::kAdd, Op::kSub, Op::kSll, Op::kSlt, Op::kSltu, Op::kXor, Op::kSrl, Op::kSra,
-        Op::kOr, Op::kAnd, Op::kMul, Op::kEcall, Op::kEbreak, Op::kMarker, Op::kVsetvli,
-        Op::kVle32, Op::kVse32, Op::kVluxei32, Op::kVaddVx, Op::kVaddVi, Op::kVaddVV,
-        Op::kVfaddVV, Op::kVmulVV, Op::kVfmulVV, Op::kVredsumVS, Op::kVfredusumVS, Op::kVmaccVx,
-        Op::kVfmaccVf, Op::kVmvVX, Op::kVmvVI, Op::kVmvXS, Op::kVfmvFS, Op::kVmvSX,
-        Op::kVslidedownVx, Op::kVslidedownVi, Op::kVslide1downVx, Op::kVindexmacVx,
-        Op::kVfindexmacVx, Op::kVindexmacpVx, Op::kVfindexmacpVx, Op::kVindexmac2Vx,
-        Op::kVfindexmac2Vx, Op::kSsrCfg, Op::kSsrEn, Op::kVindexmacsV, Op::kVfindexmacsV),
-    [](const ::testing::TestParamInfo<Op>& info) {
-      std::string name = mnemonic(info.param);
-      for (char& c : name)
-        if (c == '.') c = '_';
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(EverySupportedOp, AllOpsRoundTrip, ::testing::ValuesIn(all_ops()),
+                         [](const ::testing::TestParamInfo<Op>& info) {
+                           std::string name = mnemonic(info.param);
+                           for (char& c : name)
+                             if (c == '.') c = '_';
+                           return name;
+                         });
 
 TEST(IsaClassification, VectorQueries) {
-  EXPECT_TRUE(is_vector(Op::kVindexmacVx));
-  EXPECT_TRUE(is_vector(Op::kVle32));
-  EXPECT_FALSE(is_vector(Op::kVsetvli));  // executes on the scalar core
-  EXPECT_FALSE(is_vector(Op::kAdd));
-  EXPECT_TRUE(is_vector_load(Op::kVle32));
-  EXPECT_TRUE(is_vector_store(Op::kVse32));
-  EXPECT_TRUE(is_vector_to_scalar(Op::kVmvXS));
-  EXPECT_TRUE(is_vector_to_scalar(Op::kVfmvFS));
-  EXPECT_FALSE(is_vector_to_scalar(Op::kVmvSX));
+  const auto has = [](Op op, std::uint32_t flag) { return predecode(Instruction{op}).has(flag); };
+  EXPECT_TRUE(has(Op::kVindexmacVx, kSiVector));
+  EXPECT_TRUE(has(Op::kVle32, kSiVector));
+  EXPECT_FALSE(has(Op::kVsetvli, kSiVector));  // executes on the scalar core
+  EXPECT_FALSE(has(Op::kAdd, kSiVector));
+  EXPECT_TRUE(has(Op::kVle32, kSiVectorLoad));
+  EXPECT_TRUE(has(Op::kVse32, kSiVectorStore));
+  EXPECT_TRUE(has(Op::kVmvXS, kSiVectorToScalar));
+  EXPECT_TRUE(has(Op::kVfmvFS, kSiVectorToScalar));
+  EXPECT_FALSE(has(Op::kVmvSX, kSiVectorToScalar));
 }
 
 TEST(IsaClassification, RegisterFileWrites) {
-  EXPECT_TRUE(writes_x(Instruction{Op::kAdd, 1, 2, 3, 0}));
-  EXPECT_FALSE(writes_x(Instruction{Op::kAdd, 0, 2, 3, 0}));  // rd == x0
-  EXPECT_TRUE(writes_x(Instruction{Op::kVmvXS, 1, 0, 3, 0}));
-  EXPECT_TRUE(writes_f(Instruction{Op::kVfmvFS, 1, 0, 3, 0}));
-  EXPECT_TRUE(writes_v(Instruction{Op::kVindexmacVx, 1, 2, 3, 0}));
-  EXPECT_FALSE(writes_v(Instruction{Op::kVse32, 1, 2, 0, 0}));
-  EXPECT_TRUE(writes_x(Instruction{Op::kVsetvli, 1, 2, 0, kVtypeE32M1}));
+  const auto has = [](const Instruction& in, std::uint32_t flag) {
+    return predecode(in).has(flag);
+  };
+  EXPECT_TRUE(has(Instruction{Op::kAdd, 1, 2, 3, 0}, kSiWritesX));
+  EXPECT_FALSE(has(Instruction{Op::kAdd, 0, 2, 3, 0}, kSiWritesX));  // rd == x0
+  EXPECT_TRUE(has(Instruction{Op::kVmvXS, 1, 0, 3, 0}, kSiWritesX));
+  EXPECT_TRUE(has(Instruction{Op::kVfmvFS, 1, 0, 3, 0}, kSiWritesF));
+  EXPECT_TRUE(has(Instruction{Op::kVindexmacVx, 1, 2, 3, 0}, kSiWritesV));
+  EXPECT_FALSE(has(Instruction{Op::kVse32, 1, 2, 0, 0}, kSiWritesV));
+  EXPECT_TRUE(has(Instruction{Op::kVsetvli, 1, 2, 0, kVtypeE32M1}, kSiWritesX));
 }
 
 TEST(IsaClassification, RegisterFileReads) {
-  EXPECT_TRUE(reads_x_rs1(Instruction{Op::kVindexmacVx, 1, 2, 3, 0}));
-  EXPECT_TRUE(reads_x_rs1(Instruction{Op::kVle32, 1, 2, 0, 0}));
-  EXPECT_FALSE(reads_x_rs1(Instruction{Op::kVmvXS, 1, 0, 3, 0}));
-  EXPECT_TRUE(reads_x_rs2(Instruction{Op::kSw, 0, 2, 3, 0}));
-  EXPECT_TRUE(reads_f_rs1(Instruction{Op::kVfmaccVf, 1, 2, 3, 0}));
+  const auto has = [](const Instruction& in, std::uint32_t flag) {
+    return predecode(in).has(flag);
+  };
+  EXPECT_TRUE(has(Instruction{Op::kVindexmacVx, 1, 2, 3, 0}, kSiReadsXRs1));
+  EXPECT_TRUE(has(Instruction{Op::kVle32, 1, 2, 0, 0}, kSiReadsXRs1));
+  EXPECT_FALSE(has(Instruction{Op::kVmvXS, 1, 0, 3, 0}, kSiReadsXRs1));
+  EXPECT_TRUE(has(Instruction{Op::kSw, 0, 2, 3, 0}, kSiReadsXRs2));
+  EXPECT_TRUE(has(Instruction{Op::kVfmaccVf, 1, 2, 3, 0}, kSiReadsFRs1));
+}
+
+// ---- Decoder golden over a structured word corpus ----
+
+/// Every (opcode, funct3, bits 31:25) combination, each with the register
+/// fills (rd, rs1, rs2) = {0,0,0}, {0,0,1}, {3,9,20} and {31,31,31}: 524,288
+/// words that reach every op of the subset plus its near misses.
+std::vector<std::uint32_t> decoder_corpus() {
+  constexpr std::uint32_t kFills[4][3] = {{0, 0, 0}, {0, 0, 1}, {3, 9, 20}, {31, 31, 31}};
+  std::vector<std::uint32_t> words;
+  words.reserve(128 * 8 * 128 * 4);
+  for (std::uint32_t opcode = 0; opcode < 128; ++opcode)
+    for (std::uint32_t f3 = 0; f3 < 8; ++f3)
+      for (std::uint32_t top = 0; top < 128; ++top)
+        for (const auto& fill : kFills)
+          words.push_back((top << 25) | (fill[2] << 20) | (fill[1] << 15) | (f3 << 12) |
+                          (fill[0] << 7) | opcode);
+  return words;
+}
+
+/// One row per op: how many corpus words decode to it and an FNV-1a over
+/// each such word's decoded fields, predecode() result and disassembly; a
+/// final row counts (and hashes) the words that decode to kIllegal.
+std::string render_isa_ops_csv() {
+  std::vector<std::uint64_t> count(kOpCount, 0), hash(kOpCount, kFnv1aBasis);
+  for (const std::uint32_t w : decoder_corpus()) {
+    const Instruction in = decode(w);
+    const auto op = static_cast<unsigned>(in.op);
+    ++count[op];
+    if (in.op == Op::kIllegal) {
+      hash[op] = fnv1a(std::to_string(w) + ";", hash[op]);
+      continue;
+    }
+    const StaticInstInfo si = predecode(in);
+    std::ostringstream rec;
+    rec << w << ':' << op << ',' << unsigned{in.rd} << ',' << unsigned{in.rs1} << ','
+        << unsigned{in.rs2} << ',' << in.imm << '|' << si.flags << ','
+        << unsigned{si.scalar_mem_bytes} << ',' << unsigned{si.vreg_reads} << ','
+        << static_cast<unsigned>(si.vlat) << '|' << disassemble(in) << ';';
+    hash[op] = fnv1a(rec.str(), hash[op]);
+  }
+  std::string out = "mnemonic,words,fnv1a\n";
+  const auto row = [&](unsigned op) {
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(hash[op]));
+    out += mnemonic(static_cast<Op>(op)) + "," + std::to_string(count[op]) + "," + hex + "\n";
+  };
+  for (unsigned op = 1; op < kOpCount; ++op) row(op);
+  row(0);  // "illegal": the rejected words
+  return out;
+}
+
+TEST(IsaGolden, DecoderCorpusMatchesCheckedInCsv) {
+  // Pins decode(), predecode() and disassemble() over the whole corpus
+  // (tests/golden/isa_ops.csv); a drift names the ops whose rows moved.
+  std::ifstream file(std::string(INDEXMAC_GOLDEN_DIR) + "/isa_ops.csv", std::ios::binary);
+  ASSERT_TRUE(file.good());
+  std::stringstream expected;
+  expected << file.rdbuf();
+  const std::string actual = render_isa_ops_csv();
+  if (actual != expected.str())
+    ADD_FAILURE() << "decoder golden drifted.\n--- expected (isa_ops.csv)\n"
+                  << expected.str() << "--- actual\n"
+                  << actual;
+}
+
+TEST(IsaGolden, EveryAcceptedCorpusWordReencodesToItself) {
+  // decode() keeps every bit of an accepted word: fixed bits in the row's
+  // match, operand bits in the decoded fields.
+  std::size_t accepted = 0;
+  for (const std::uint32_t w : decoder_corpus()) {
+    const Instruction in = decode(w);
+    if (in.op == Op::kIllegal) continue;
+    ++accepted;
+    EXPECT_EQ(encode(in), w) << std::hex << "word 0x" << w << " (" << disassemble(in) << ")";
+  }
+  EXPECT_EQ(accepted, 23205u);
+}
+
+TEST(IsaEncoding, DecodeRejectsReservedAlternateOpForms) {
+  // funct7 0100000 selects an alternate op only for add -> sub and
+  // srl -> sra; on sll/slt/sltu/xor/or/and it is a reserved encoding.
+  for (const std::uint32_t f3 : {1u, 2u, 3u, 4u, 6u, 7u}) {
+    const std::uint32_t w = 0x40000033u | (f3 << 12);
+    EXPECT_EQ(decode(w).op, Op::kIllegal) << std::hex << "word 0x" << w;
+  }
+  EXPECT_EQ(decode(0x40001033u).op, Op::kIllegal);  // not "sll x0, x0, x0"
+  EXPECT_EQ(decode(0x40000033u).op, Op::kSub);
+  EXPECT_EQ(decode(0x40005033u).op, Op::kSra);
 }
 
 }  // namespace

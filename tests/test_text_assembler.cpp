@@ -171,5 +171,40 @@ TEST(TextAssembler, AbiNamesCoverAllRegisters) {
   EXPECT_EQ(d[10].rs2, 31);
 }
 
+/// Expects `source` to be rejected while parsing, naming line `line`.
+void expect_rejected_at_line(const std::string& source, int line) {
+  try {
+    (void)assemble_text(source);
+    ADD_FAILURE() << "accepted: " << source;
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("asm line " + std::to_string(line) + ":"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(TextAssembler, VectorMemoryOffsetsAreRejected) {
+  // Unit-stride and indexed vector accesses have no offset field; an
+  // offset must not be dropped silently.
+  expect_rejected_at_line("nop\nvle32.v v1, 16(x5)\n", 2);
+  expect_rejected_at_line("nop\nnop\nvse32.v v1, 8(x5)\n", 3);
+  expect_rejected_at_line("vluxei32.v v1, -4(x5), v2\n", 1);
+  // The plain and explicit-zero forms still assemble.
+  const auto out = assemble_text("vle32.v v1, (x5)\nvse32.v v1, 0(x5)\n");
+  EXPECT_EQ(out.program.decoded()[0].rs1, 5);
+  EXPECT_EQ(out.program.decoded()[1].op, Op::kVse32);
+}
+
+TEST(TextAssembler, LiRejectsNonImmediateOperands) {
+  expect_rejected_at_line("li x5, x6\n", 1);
+  expect_rejected_at_line("loop:\nli x5, loop\n", 2);
+}
+
+TEST(TextAssembler, OutOfRangeImmediatesNameTheirLine) {
+  expect_rejected_at_line("nop\naddi x1, x2, 5000\n", 2);
+  expect_rejected_at_line("nop\nnop\nslli x1, x2, -1\n", 3);
+  expect_rejected_at_line("marker 5000\n", 1);
+}
+
 }  // namespace
 }  // namespace indexmac

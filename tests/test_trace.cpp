@@ -151,14 +151,15 @@ ReferenceRecord reference_next(Machine& machine) {
   out.inst = machine.program().at(pre.pc);
   out.vl = pre.vl;
   const isa::Instruction& in = out.inst;
+  const isa::StaticInstInfo si = isa::predecode(in);
   if (in.op == Op::kVluxei32) {
     const std::uint64_t base = pre.x[in.rs1];
     for (unsigned i = 0; i < pre.vl; ++i) out.gather_addrs.push_back(base + pre.v[in.rs2][i]);
     out.mem_bytes = pre.vl * 4;
-  } else if (isa::is_scalar_load(in.op) || isa::is_scalar_store(in.op)) {
+  } else if (si.has(isa::kSiScalarLoad | isa::kSiScalarStore)) {
     out.mem_addr = pre.x[in.rs1] + static_cast<std::int64_t>(in.imm);
     out.mem_bytes = (in.op == Op::kLd || in.op == Op::kSd) ? 8 : 4;
-  } else if (isa::is_vector_load(in.op) || isa::is_vector_store(in.op)) {
+  } else if (si.has(isa::kSiVectorLoad | isa::kSiVectorStore)) {
     out.mem_addr = pre.x[in.rs1];
     out.mem_bytes = pre.vl * 4;
   } else if (in.op == Op::kVindexmacVx || in.op == Op::kVfindexmacVx) {
@@ -167,7 +168,7 @@ ReferenceRecord reference_next(Machine& machine) {
     out.marker_id = in.imm;
   }
   const StopReason stop = machine.step();
-  out.branch_taken = (isa::is_branch(in.op) || isa::is_jump(in.op)) &&
+  out.branch_taken = si.has(isa::kSiBranch | isa::kSiJump) &&
                      machine.state().pc != out.pc + 4;
   out.is_halt = stop == StopReason::kEbreak || stop == StopReason::kEcall;
   return out;
