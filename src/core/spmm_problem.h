@@ -59,8 +59,8 @@ struct RunConfig {
   Algorithm algorithm = Algorithm::kIndexmac;
   kernels::KernelOptions kernel;
   unsigned tile_rows = 16;  ///< L (paper uses 16)
-  /// Functional-execution engine driving the run. Results are identical
-  /// either way (see fsim/engine.h), so this never enters cache keys.
+  /// No effect: timed runs always drive the threaded engine's block trace
+  /// (timing/trace.h). Kept, out of cache keys, for source compatibility.
   ExecEngine engine = ExecEngine::kInterp;
 };
 

@@ -55,9 +55,9 @@ struct SweepSpec {
   std::vector<kernels::Dataflow> dataflows = {kernels::Dataflow::kBStationary};
   std::vector<unsigned> tile_rows = {16};
   SweepMode mode = SweepMode::kSampled;
-  /// Functional engine for every point. Deliberately absent from cache
-  /// keys and reports: both engines produce identical measurements (see
-  /// fsim/engine.h), so results are interchangeable under --resume.
+  /// The spec's "engine" key, copied into every point's RunConfig. No
+  /// effect on timing (see RunConfig::engine); still parsed so old specs
+  /// stay valid, and absent from cache keys and reports.
   ExecEngine engine = ExecEngine::kInterp;
   std::uint32_t seed = 1;
   SampleParams sample;

@@ -1,8 +1,10 @@
 // Functional-execution engine selection. The interpreter (fsim::Machine)
 // is the golden model; the threaded-code engine (fsim::ThreadedEngine)
-// produces bit-identical architectural results faster. The choice is a
-// simulator implementation detail: it never enters sweep cache keys or
-// report bytes, and both engines must render byte-identical golden output.
+// produces bit-identical architectural results faster. The choice applies
+// to functional runs (`imac_run run`, the gdb stub). Timed runs always
+// drive the threaded engine's block trace (timing/trace.h): TimingSim,
+// RunConfig and SweepSpec still accept an ExecEngine, but it has no effect
+// there. It never enters sweep cache keys or report bytes.
 #pragma once
 
 #include <string>

@@ -1,12 +1,10 @@
 #include "timing/timing_sim.h"
 
 #include <array>
-#include <memory>
 
 #include "common/bitutil.h"
 #include "common/error.h"
 #include "fsim/machine.h"
-#include "fsim/threaded.h"
 #include "timing/port_scheduler.h"
 #include "timing/trace.h"
 
@@ -42,12 +40,10 @@ std::uint32_t occupancy_cycles(std::uint32_t vl, unsigned per_cycle) {
 class Model {
  public:
   Model(const Program& program, MainMemory& memory, const ProcessorConfig& config,
-        ExecEngine engine, TimingStats& stats, std::vector<MarkerEvent>& markers)
+        TimingStats& stats, std::vector<MarkerEvent>& markers)
       : config_(checked(config)),
         machine_(program, memory),
-        engine_(engine == ExecEngine::kThreaded ? std::make_unique<ThreadedEngine>(machine_)
-                                                : nullptr),
-        trace_(machine_, engine_.get()),
+        trace_(machine_),
         mem_(config.memory),
         fetch_ports_(config.scalar.fetch_width),
         issue_ports_(config.scalar.issue_width),
@@ -80,25 +76,13 @@ class Model {
       gather_slot_[i] = i / config_.vector.gather_lanes;
   }
 
-  void run(std::uint64_t max_instructions) {
-    // One loop per trace path, so each inlines only the path it runs: a
-    // loop inlining both ran interpreter-driven timing about 5% slower
-    // (perfbench registry-sampled, 4-vCPU x86-64 host).
-    if (engine_ != nullptr)
-      run_trace(max_instructions, [this](DynInst& d) { return trace_.next_block(d); });
-    else
-      run_trace(max_instructions, [this](DynInst& d) { return trace_.next_step(d); });
-  }
-
- private:
   /// Errors name the next undelivered instruction (TraceSource::next_pc),
-  /// not the machine's pc, which a block-granular trace may have run past:
-  /// the text is the same on both engines.
-  template <typename Next>
-  void run_trace(std::uint64_t max_instructions, Next next) {
+  /// not the machine's pc, which the block-granular trace may have run
+  /// past.
+  void run(std::uint64_t max_instructions) {
     DynInst d;
     for (std::uint64_t n = 0; n < max_instructions; ++n) {
-      if (!next(d)) {
+      if (!trace_.next(d)) {
         raise("timing: trace ended without a halt instruction at " +
               describe_pc(machine_.program(), trace_.next_pc()));
       }
@@ -114,6 +98,7 @@ class Model {
           describe_pc(machine_.program(), trace_.next_pc()));
   }
 
+ private:
   // ---- helpers ----
 
   std::uint64_t xr(unsigned r) const { return r == 0 ? 0 : x_ready_[r]; }
@@ -383,7 +368,6 @@ class Model {
 
   ProcessorConfig config_;
   Machine machine_;
-  std::unique_ptr<ThreadedEngine> engine_;  ///< present under ExecEngine::kThreaded
   TraceSource trace_;
   MemorySystem mem_;
   InOrderPorts fetch_ports_;   ///< requests fetch_blocked_until_, which only grows
@@ -432,13 +416,13 @@ class Model {
 }  // namespace
 
 TimingSim::TimingSim(const Program& program, MainMemory& memory, const ProcessorConfig& config,
-                     ExecEngine engine)
-    : program_(program), memory_(memory), config_(config), engine_(engine) {}
+                     ExecEngine /*engine: no effect, see timing_sim.h*/)
+    : program_(program), memory_(memory), config_(config) {}
 
 const TimingStats& TimingSim::run(std::uint64_t max_instructions) {
   IMAC_CHECK(!ran_, "TimingSim::run may only be called once per instance");
   ran_ = true;
-  Model model(program_, memory_, config_, engine_, stats_, markers_);
+  Model model(program_, memory_, config_, stats_, markers_);
   model.run(max_instructions);
   return stats_;
 }

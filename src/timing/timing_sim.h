@@ -1,10 +1,10 @@
 // Cycle-level timing model of the decoupled vector processor (Table I).
 //
 // Model style: trace-driven timestamp dataflow. The functional simulator
-// supplies the committed instruction stream (timing/trace.h: per
-// interpreter step, or per whole threaded-engine block whose recorded
-// per-instruction values are replayed in order — the same stream either
-// way); for each dynamic instruction the model computes fetch/dispatch/issue/complete/commit cycles subject to
+// supplies the committed instruction stream (timing/trace.h: whole
+// threaded-engine blocks whose recorded per-instruction values are
+// replayed in order); for each dynamic instruction the model computes
+// fetch/dispatch/issue/complete/commit cycles subject to
 //   * front-end width and branch-mispredict refill (static BTFNT predictor),
 //   * ROB / LSQ / physical-register-file style occupancy (ROB bound),
 //   * 8-wide issue and per-op execution latencies on the scalar side,
@@ -87,13 +87,9 @@ struct TimingStats {
 /// Timing simulator for one program execution.
 class TimingSim {
  public:
-  /// `engine` selects how the trace-driving functional simulation advances:
-  /// one interpreter step per instruction, or one threaded-engine block
-  /// (fused chains included) per trace refill, whose recorded per-
-  /// instruction values the trace hands out one by one (timing/trace.h).
-  /// Cycle counts and every other statistic are identical either way — the
-  /// trace stream is bit-equal by the engines' correctness contract — so
-  /// the choice is pure speed.
+  /// The trace-driving functional simulation always runs on the threaded
+  /// engine, one block per trace refill (timing/trace.h). `engine` is
+  /// accepted for source compatibility and has no effect.
   TimingSim(const Program& program, MainMemory& memory, const ProcessorConfig& config,
             ExecEngine engine = ExecEngine::kInterp);
 
@@ -109,7 +105,6 @@ class TimingSim {
   const Program& program_;
   MainMemory& memory_;
   ProcessorConfig config_;
-  ExecEngine engine_;
   TimingStats stats_;
   std::vector<MarkerEvent> markers_;
   bool ran_ = false;

@@ -4,20 +4,18 @@
 // Wrong-path (mis-speculated) instructions are not simulated; the branch
 // mispredict penalty models the front-end refill (see docs/simplifications.md).
 //
-// The source advances the functional simulator one unit at a time and then
-// hands the unit's instructions out one by one:
-//   * on the interpreter, a unit is one Machine::step, and each DynInst is
-//     built from the architectural state just before it (the golden
-//     reference);
-//   * on the threaded engine, a unit is one whole predecoded block, fused
-//     chains included (ThreadedEngine::run_block), and each DynInst is
-//     built from the pre-execution values the block recorded. Fallback-
-//     class ops (SSR, illegal) stay single-instruction units read from the
-//     live state, exactly as on the interpreter.
-// Both build every DynInst through the same code from the same values, so
-// the streams are bit-identical. On the threaded engine the Machine can be
-// up to one block ahead of the last delivered instruction; next_pc() names
-// the instruction next() will deliver.
+// The source advances the functional simulator on the threaded engine one
+// unit at a time and then hands the unit's instructions out one by one. A
+// unit is one whole predecoded block, fused chains included
+// (ThreadedEngine::run_block), and each DynInst is built from the
+// pre-execution values the block recorded. Fallback-class ops (SSR,
+// illegal) stay single-instruction units, built from the live pre-state
+// and then executed through run_block's Machine::step fallback. Every
+// record equals what the interpreter's state held before that instruction
+// (the engine's correctness contract; tests/trace_reference.h re-derives
+// the stream from Machine::step independently). The Machine can be up to
+// one block ahead of the last delivered instruction; next_pc() names the
+// instruction next() will deliver.
 //
 // The trace is zero-allocation: next() fills a caller-owned DynInst slot in
 // place, gather addresses live in a fixed scratch buffer owned by the
@@ -28,6 +26,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 
 #include "common/error.h"
 #include "fsim/machine.h"
@@ -66,13 +65,14 @@ struct DynInst {
 /// Pulls dynamic instructions from a functional Machine.
 class TraceSource {
  public:
-  /// `engine`, when non-null, advances `machine` block by block instead of
-  /// Machine::step (--engine=threaded); it must be bound to `machine`. The
-  /// DynInst stream is identical either way. Marker hooks on `machine` fire
-  /// as each block executes, which can be ahead of delivery.
+  /// `engine` advances `machine` block by block; it must be bound to
+  /// `machine`. When null, the source builds and owns an engine of its
+  /// own. Marker hooks on `machine` fire as each block executes, which can
+  /// be ahead of delivery.
   explicit TraceSource(Machine& machine, ThreadedEngine* engine = nullptr)
       : machine_(machine),
-        engine_(engine),
+        owned_(engine == nullptr ? std::make_unique<ThreadedEngine>(machine) : nullptr),
+        engine_(engine == nullptr ? *owned_ : *engine),
         code_(machine.program().decoded().data()),
         info_(machine.program().static_info().data()),
         base_(machine.program().base()),
@@ -83,23 +83,14 @@ class TraceSource {
   /// itself is delivered with is_halt=true). `out.gather_addrs` aliases
   /// scratch storage owned by this TraceSource: it is overwritten by the
   /// following next() call and must not outlive it.
-  bool next(DynInst& out) { return engine_ != nullptr ? next_block(out) : next_step(out); }
-
-  /// next() when the source has no engine: one Machine::step per call.
-  bool next_step(DynInst& out) {
-    if (done_) return false;
-    return step_unit(out, slot_of(machine_.state().pc));
-  }
-
-  /// next() when the source has an engine: one run_block() per block.
-  bool next_block(DynInst& out) {
+  bool next(DynInst& out) {
     if (done_) return false;
     if (pos_ == count_) {
       // Block drained: the machine sits on the next undelivered pc.
       const std::size_t slot = slot_of(machine_.state().pc);
       if (info_[slot].has(isa::kSiThreadedFallback)) return step_unit(out, slot);
       slot_ = slot;
-      stop_ = engine_->run_block(block_);
+      stop_ = engine_.run_block(block_);
       pos_ = 0;
       count_ = block_.count;
     }
@@ -118,14 +109,14 @@ class TraceSource {
   }
 
  private:
-  /// Delivers the instruction in `slot` as a unit of its own, built from
-  /// the live pre-state: one Machine::step, or on the engine one fallback
-  /// step through run_block().
+  /// Delivers the fallback-class instruction in `slot` as a unit of its
+  /// own, built from the live pre-state and executed by run_block()'s
+  /// Machine::step fallback.
   bool step_unit(DynInst& out, std::size_t slot) {
     const ArchState& pre = machine_.state();
     const isa::Instruction& in = code_[slot];
     const isa::StaticInstInfo& si = fill(out, slot, pre.x[in.rs1], pre.vl, pre.v[in.rs2].data());
-    finish(out, si, engine_ != nullptr ? engine_->run_block(block_) : machine_.step());
+    finish(out, si, engine_.run_block(block_));
     return true;
   }
 
@@ -207,7 +198,8 @@ class TraceSource {
   }
 
   Machine& machine_;
-  ThreadedEngine* engine_;
+  std::unique_ptr<ThreadedEngine> owned_;  ///< set when no engine was passed in
+  ThreadedEngine& engine_;
   const isa::Instruction* code_;
   const isa::StaticInstInfo* info_;
   std::uint64_t base_;

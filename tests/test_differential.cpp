@@ -14,12 +14,15 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 
 #include "asm/assembler.h"
+#include "core/algorithm_registry.h"
 #include "core/runner.h"
 #include "core/spmm_problem.h"
+#include "core/sweep.h"
 #include "engine_programs.h"
 #include "fsim/machine.h"
 #include "fsim/threaded.h"
@@ -27,6 +30,7 @@
 #include "isa/encoding.h"
 #include "timing/timing_sim.h"
 #include "timing/trace.h"
+#include "trace_reference.h"
 #include "workloads/workloads.h"
 
 namespace indexmac {
@@ -428,40 +432,14 @@ TEST(DispatchStalls, IndependentVectorOpsMostlyBandwidthBound) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-vs-interpreter lockstep: the block-granular trace on the threaded
-// engine (whole blocks, fused chains included, with recorded pre-execution
-// values) must hand out the same per-instruction stream — every DynInst
-// field — as the interpreter's step-by-step trace, not just reach the same
-// final state. These tests hold it to that across all five registry
-// algorithms, the random-program generator's seeds, and the chain corners
-// (bail replay, narrow vl, a fused chain right before a taken branch).
-
-::testing::AssertionResult dyninsts_equal(const timing::DynInst& a, const timing::DynInst& b) {
-  if (!(a.inst == b.inst)) return ::testing::AssertionFailure() << "inst encoding differs";
-  if (a.pc != b.pc)
-    return ::testing::AssertionFailure() << "pc 0x" << std::hex << a.pc << " vs 0x" << b.pc;
-  if (a.branch_taken != b.branch_taken) return ::testing::AssertionFailure() << "branch_taken";
-  if (a.is_halt != b.is_halt) return ::testing::AssertionFailure() << "is_halt";
-  if (a.mem_addr != b.mem_addr)
-    return ::testing::AssertionFailure()
-           << "mem_addr 0x" << std::hex << a.mem_addr << " vs 0x" << b.mem_addr;
-  if (a.mem_bytes != b.mem_bytes) return ::testing::AssertionFailure() << "mem_bytes";
-  if (a.vl != b.vl) return ::testing::AssertionFailure() << "vl " << a.vl << " vs " << b.vl;
-  if (a.indirect_vreg != b.indirect_vreg) return ::testing::AssertionFailure() << "indirect_vreg";
-  if (a.indirect_vreg2 != b.indirect_vreg2)
-    return ::testing::AssertionFailure() << "indirect_vreg2";
-  if (a.ssr_value_addr != b.ssr_value_addr) return ::testing::AssertionFailure() << "ssr_value_addr";
-  if (a.ssr_index_addr != b.ssr_index_addr) return ::testing::AssertionFailure() << "ssr_index_addr";
-  if (a.gather_count != b.gather_count) return ::testing::AssertionFailure() << "gather_count";
-  for (std::uint32_t i = 0; i < a.gather_count; ++i)
-    if (a.gather_addrs[i] != b.gather_addrs[i])
-      return ::testing::AssertionFailure() << "gather_addrs[" << i << "]";
-  if (a.marker_id != b.marker_id) return ::testing::AssertionFailure() << "marker_id";
-  if (a.ssr_ctl_mask != b.ssr_ctl_mask)
-    return ::testing::AssertionFailure()
-           << "ssr_ctl_mask " << int(a.ssr_ctl_mask) << " vs " << int(b.ssr_ctl_mask);
-  return ::testing::AssertionSuccess();
-}
+// Block trace against the oracle, in lockstep: the block-granular trace on
+// the threaded engine (whole blocks, fused chains included, with recorded
+// pre-execution values) must hand out, field for field, the DynInst stream
+// that trace_reference.h derives from Machine::step's pre-state, and land
+// on the same final state. These tests hold it to that across all five
+// registry algorithms, the random-program generator's seeds, the chain
+// corners (bail replay, narrow vl, a fused chain right before a taken
+// branch) and every point of the golden tiny sweep.
 
 ::testing::AssertionResult arch_states_equal(const ArchState& a, const ArchState& b) {
   if (a.pc != b.pc)
@@ -478,33 +456,11 @@ TEST(DispatchStalls, IndependentVectorOpsMostlyBandwidthBound) {
   return ::testing::AssertionSuccess();
 }
 
-/// Drains both sources in lockstep, asserting the DynInst streams are
-/// field-for-field identical. Returns the number of instructions compared
-/// (the halting ebreak included).
-std::uint64_t drain_lockstep(timing::TraceSource& interp, timing::TraceSource& threaded) {
-  std::uint64_t n = 0;
-  timing::DynInst a, b;
-  for (;;) {
-    const bool more_interp = interp.next(a);
-    const bool more_threaded = threaded.next(b);
-    EXPECT_EQ(more_interp, more_threaded) << "stream length diverges after " << n;
-    if (!more_interp || !more_threaded) break;
-    const ::testing::AssertionResult eq = dyninsts_equal(a, b);
-    EXPECT_TRUE(eq) << "at instruction " << n << ", pc=0x" << std::hex << a.pc;
-    if (!eq) break;
-    if (++n > 50'000'000) {
-      ADD_FAILURE() << "trace did not terminate";
-      break;
-    }
-  }
-  return n;
-}
-
 TEST(EngineLockstep, AllFiveAlgorithmsIdenticalTraceStreams) {
   // Every registry algorithm, every supported dataflow and unroll: the
-  // threaded engine must retire the exact same DynInst stream (including
-  // SSR stream addresses, gather addresses and ssr_ctl_mask) and land on
-  // the same architectural state and C matrix.
+  // block trace must match the oracle's DynInst stream (including SSR
+  // stream addresses, gather addresses and ssr_ctl_mask) and land on the
+  // same architectural state and C matrix.
   using core::Algorithm;
   using core::RunConfig;
   const kernels::GemmDims dims{9, 50, 33};
@@ -528,15 +484,13 @@ TEST(EngineLockstep, AllFiveAlgorithmsIdenticalTraceStreams) {
         MainMemory imem;
         const core::PreparedRun irun = core::prepare(problem, config, imem);
         Machine interp(irun.program, imem);
-        timing::TraceSource isrc(interp);
 
         MainMemory tmem;
         const core::PreparedRun trun = core::prepare(problem, config, tmem);
         Machine threaded_machine(trun.program, tmem);
-        ThreadedEngine engine(threaded_machine);
-        timing::TraceSource tsrc(threaded_machine, &engine);
+        timing::TraceSource tsrc(threaded_machine);
 
-        const std::uint64_t n = drain_lockstep(isrc, tsrc);
+        const std::uint64_t n = trace_reference::drain_against(tsrc, interp);
         ASSERT_GT(n, 0u);
         EXPECT_EQ(threaded_machine.instructions_retired(), interp.instructions_retired());
         EXPECT_TRUE(arch_states_equal(threaded_machine.state(), interp.state()));
@@ -569,14 +523,13 @@ TEST(EngineLockstep, ChainCornerProgramsIdenticalTraceStreams) {
     SCOPED_TRACE(name);
     MainMemory imem;
     Machine interp(program, imem);
-    timing::TraceSource isrc(interp);
 
     MainMemory tmem;
     Machine threaded_machine(program, tmem);
     ThreadedEngine engine(threaded_machine);
     timing::TraceSource tsrc(threaded_machine, &engine);
 
-    const std::uint64_t n = drain_lockstep(isrc, tsrc);
+    const std::uint64_t n = trace_reference::drain_against(tsrc, interp);
     EXPECT_EQ(n, interp.instructions_retired());
     EXPECT_TRUE(arch_states_equal(threaded_machine.state(), interp.state()));
     EXPECT_EQ(engine.stats().fallback_steps, 0u);
@@ -587,9 +540,9 @@ TEST(EngineLockstep, ChainCornerProgramsIdenticalTraceStreams) {
 
 TEST(EngineLockstep, RandomProgramsIdenticalTraceStreamsAndMemory) {
   // The random-program generator's seeds (loops, branches, scalar/vector
-  // mixes, scratch-memory stores) re-run under the threaded engine: the
-  // per-instruction stream, final state and scratch memory must all match
-  // the interpreter's bit for bit.
+  // mixes, scratch-memory stores) drained through the block trace: the
+  // per-instruction stream must match the oracle, and the final state and
+  // scratch memory the interpreter's, bit for bit.
   for (const std::uint32_t seed : {1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u, 55u, 89u, 144u, 233u,
                                    377u, 610u, 987u, 1597u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -597,19 +550,51 @@ TEST(EngineLockstep, RandomProgramsIdenticalTraceStreamsAndMemory) {
 
     MainMemory fmem;
     Machine interp(program, fmem);
-    timing::TraceSource isrc(interp);
 
     MainMemory tmem;
     Machine threaded_machine(program, tmem);
-    ThreadedEngine engine(threaded_machine);
-    timing::TraceSource tsrc(threaded_machine, &engine);
+    timing::TraceSource tsrc(threaded_machine);
 
-    const std::uint64_t n = drain_lockstep(isrc, tsrc);
+    const std::uint64_t n = trace_reference::drain_against(tsrc, interp);
     EXPECT_EQ(n, interp.instructions_retired());
     EXPECT_TRUE(arch_states_equal(threaded_machine.state(), interp.state()));
     for (int i = 0; i < 64; ++i)
       EXPECT_EQ(tmem.read_u64(0x40000 + 8 * i), fmem.read_u64(0x40000 + 8 * i)) << i;
   }
+}
+
+TEST(EngineLockstep, TinySweepGoldenPointsMatchReference) {
+  // Every point of the golden tiny sweep (its workloads, sparsities and
+  // unrolls, in exact mode), under every registry algorithm: the block
+  // trace the timing model consumes must match the oracle instruction by
+  // instruction, over the whole run.
+  core::SweepSpec spec =
+      core::parse_sweep_spec_file(std::string(INDEXMAC_GOLDEN_DIR) + "/tiny_sweep.json");
+  ASSERT_EQ(spec.mode, core::SweepMode::kExact);
+  spec.algorithms.clear();
+  for (const core::AlgorithmDescriptor& d : core::AlgorithmRegistry::instance().all())
+    spec.algorithms.push_back(d.algorithm);
+  std::set<core::Algorithm> covered;
+  for (const core::SweepPoint& point : core::expand_sweep(spec)) {
+    const core::BatchJob job = core::point_job(spec, point);
+    SCOPED_TRACE(point.cache_key(spec));
+    const core::SpmmProblem problem = core::SpmmProblem::random(job.dims, job.sp, job.seed);
+
+    MainMemory rmem;
+    const core::PreparedRun rrun = core::prepare(problem, job.config, rmem);
+    Machine reference(rrun.program, rmem);
+
+    MainMemory tmem;
+    const core::PreparedRun trun = core::prepare(problem, job.config, tmem);
+    Machine traced(trun.program, tmem);
+    timing::TraceSource trace(traced);
+
+    const std::uint64_t n = trace_reference::drain_against(trace, reference);
+    ASSERT_EQ(n, reference.instructions_retired());
+    ASSERT_TRUE(arch_states_equal(traced.state(), reference.state()));
+    covered.insert(point.config.algorithm);
+  }
+  EXPECT_EQ(covered.size(), spec.algorithms.size());
 }
 
 }  // namespace

@@ -397,9 +397,9 @@ TEST(Timing, RunTwiceThrows) {
 
 /// The SimError text of a timing run of `p` under `budget`, or "" when it
 /// finished.
-std::string budget_error(const Program& p, std::uint64_t budget, ExecEngine engine) {
+std::string budget_error(const Program& p, std::uint64_t budget) {
   MainMemory mem;
-  TimingSim sim(p, mem, ProcessorConfig{}, engine);
+  TimingSim sim(p, mem, ProcessorConfig{});
   try {
     (void)sim.run(budget);
   } catch (const SimError& e) {
@@ -410,28 +410,34 @@ std::string budget_error(const Program& p, std::uint64_t budget, ExecEngine engi
 
 TEST(Timing, InstructionBudgetGuard) {
   // A runaway program exhausts the budget. The error names the next
-  // undelivered instruction, byte-identically on both engines — also when
-  // the budget ends mid-block or mid-fused-chain, where the threaded
-  // engine's block trace has already run the machine past that pc.
+  // undelivered instruction — also when the budget ends mid-block or
+  // mid-fused-chain, where the block trace has already run the machine
+  // past that pc. The texts are pinned from the interpreter-driven trace
+  // this one replaced, which named the machine's own pc.
   Assembler a;
   auto loop = a.new_label();
   a.bind(loop);
   a.j(loop);
   const Program spin = a.finish();
   const Program chain = engine_programs::chain_then_branch_program(0, /*runaway=*/true);
-  bool ended_mid_chain = false;
-  for (const Program* p : {&spin, &chain})
-    for (std::uint64_t budget = 1; budget <= 40; ++budget) {
-      const std::string interp = budget_error(*p, budget, ExecEngine::kInterp);
-      EXPECT_NE(interp.find("instruction budget of " + std::to_string(budget) + " exhausted"),
-                std::string::npos)
-          << interp;
-      EXPECT_EQ(interp, budget_error(*p, budget, ExecEngine::kThreaded)) << "budget " << budget;
-      // The chain is vmv.x.s -> vindexmac -> vslide1down: naming either of
-      // the last two means the budget ended inside it.
-      ended_mid_chain |= interp.find("vslide1down") != std::string::npos;
-    }
-  EXPECT_TRUE(ended_mid_chain);
+  // The chain program's setup (budgets 1..9 end before these), then its
+  // loop: vmv.x.s -> vindexmac -> vslide1down, fused, and the back jump.
+  const char* const chain_next[] = {
+      "0x1004 (`vsetvli x0, x1, 208`)",        "0x1008 (`addi x2, x0, 5`)",
+      "0x100c (`vmv.v.x v2, x2`)",             "0x1010 (`addi x2, x0, 2`)",
+      "0x1014 (`vmv.v.x v4, x2`)",             "0x1018 (`vmv.v.i v3, 3`)",
+      "0x101c (`vmv.v.i v6, 0`)",              "0x1020 (`addi x9, x0, 0`)",
+      "0x1024 (`addi x10, x0, 0`)",            "0x1028 (`addi x9, x9, 1`)",
+      "0x102c (`vmv.x.s x5, v4`)",             "0x1030 (`vindexmac.vx v6, v3, x5`)",
+      "0x1034 (`vslide1down.vx v4, v4, x0`)",  "0x1038 (`jal x0, -16`)",
+  };
+  for (std::uint64_t budget = 1; budget <= 40; ++budget) {
+    const std::string prefix = "timing: instruction budget of " + std::to_string(budget) +
+                               " exhausted (runaway program?) at pc ";
+    EXPECT_EQ(budget_error(spin, budget), prefix + "0x1000 (`jal x0, 0`)") << "budget " << budget;
+    const std::uint64_t at = budget <= 9 ? budget - 1 : 9 + (budget - 10) % 5;
+    EXPECT_EQ(budget_error(chain, budget), prefix + chain_next[at]) << "budget " << budget;
+  }
 }
 
 // ---------- SSR stream-control line-buffer invalidation ----------
@@ -508,12 +514,13 @@ TEST(Timing, ReconfiguringActiveStreamDropsOnlyThatLine) {
   EXPECT_EQ(recfg.vector_loads, plain.vector_loads + 1);
 }
 
-// ---------- execution-engine parity ----------
+// ---------- pinned statistics ----------
 
-TEST(Timing, ThreadedEngineProducesIdenticalStatsAndMarkers) {
-  // The --engine choice changes only how the trace-driving functional
-  // simulation advances; every cycle count, stall bucket, memory counter
-  // and marker must be identical.
+TEST(Timing, ChainLoopStatsAndMarkersArePinned) {
+  // A fused vindexmac chain loop between two markers. Every count, stall
+  // bucket, memory counter and marker is pinned from the interpreter-
+  // driven trace the block trace replaced; the ExecEngine argument has no
+  // effect.
   Assembler a;
   a.li(x(1), 16);
   a.vsetvli_e32m1(x(0), x(1));
@@ -536,35 +543,34 @@ TEST(Timing, ThreadedEngineProducesIdenticalStatsAndMarkers) {
   a.ebreak();
   Program p = a.finish();
 
-  MainMemory imem;
-  TimingSim isim(p, imem, ProcessorConfig{}, ExecEngine::kInterp);
-  const TimingStats is = isim.run();
+  for (const ExecEngine engine : {ExecEngine::kInterp, ExecEngine::kThreaded}) {
+    SCOPED_TRACE(exec_engine_name(engine));
+    MainMemory mem;
+    TimingSim sim(p, mem, ProcessorConfig{}, engine);
+    const TimingStats s = sim.run();
+    EXPECT_EQ(s.cycles, 63u);
+    EXPECT_EQ(s.instructions, 41u);
+    EXPECT_EQ(s.scalar_instructions, 22u);
+    EXPECT_EQ(s.vector_instructions, 19u);
+    EXPECT_EQ(s.vector_loads, 1u);
+    EXPECT_EQ(s.vector_stores, 1u);
+    EXPECT_EQ(s.vector_macs, 5u);
+    EXPECT_EQ(s.vector_to_scalar_moves, 5u);
+    EXPECT_EQ(s.branch_mispredicts, 1u);
+    EXPECT_EQ(s.dispatch_stalls.scalar_operand, 165u);
+    EXPECT_EQ(s.dispatch_stalls.branch_shadow, 0u);
+    EXPECT_EQ(s.dispatch_stalls.queue_full, 0u);
+    EXPECT_EQ(s.dispatch_stalls.bandwidth, 335u);
+    EXPECT_EQ(s.mem.data_accesses(), 2u);
+    EXPECT_EQ(s.mem.dram_lines, 1u);
 
-  MainMemory tmem;
-  TimingSim tsim(p, tmem, ProcessorConfig{}, ExecEngine::kThreaded);
-  const TimingStats ts = tsim.run();
-
-  EXPECT_EQ(ts.cycles, is.cycles);
-  EXPECT_EQ(ts.instructions, is.instructions);
-  EXPECT_EQ(ts.scalar_instructions, is.scalar_instructions);
-  EXPECT_EQ(ts.vector_instructions, is.vector_instructions);
-  EXPECT_EQ(ts.vector_loads, is.vector_loads);
-  EXPECT_EQ(ts.vector_stores, is.vector_stores);
-  EXPECT_EQ(ts.vector_macs, is.vector_macs);
-  EXPECT_EQ(ts.vector_to_scalar_moves, is.vector_to_scalar_moves);
-  EXPECT_EQ(ts.branch_mispredicts, is.branch_mispredicts);
-  EXPECT_EQ(ts.dispatch_stalls.scalar_operand, is.dispatch_stalls.scalar_operand);
-  EXPECT_EQ(ts.dispatch_stalls.branch_shadow, is.dispatch_stalls.branch_shadow);
-  EXPECT_EQ(ts.dispatch_stalls.queue_full, is.dispatch_stalls.queue_full);
-  EXPECT_EQ(ts.dispatch_stalls.bandwidth, is.dispatch_stalls.bandwidth);
-  EXPECT_EQ(ts.mem.data_accesses(), is.mem.data_accesses());
-  EXPECT_EQ(ts.mem.dram_lines, is.mem.dram_lines);
-
-  ASSERT_EQ(tsim.markers().size(), isim.markers().size());
-  for (std::size_t i = 0; i < isim.markers().size(); ++i) {
-    EXPECT_EQ(tsim.markers()[i].id, isim.markers()[i].id);
-    EXPECT_EQ(tsim.markers()[i].cycle, isim.markers()[i].cycle);
-    EXPECT_EQ(tsim.markers()[i].instructions, isim.markers()[i].instructions);
+    ASSERT_EQ(sim.markers().size(), 2u);
+    EXPECT_EQ(sim.markers()[0].id, 1);
+    EXPECT_EQ(sim.markers()[0].cycle, 8u);
+    EXPECT_EQ(sim.markers()[0].instructions, 7u);
+    EXPECT_EQ(sim.markers()[1].id, 2);
+    EXPECT_EQ(sim.markers()[1].cycle, 62u);
+    EXPECT_EQ(sim.markers()[1].instructions, 39u);
   }
 }
 

@@ -90,12 +90,15 @@ const SubcommandDoc kSubcommands[] = {
      "      Assembles file.s (the library's RISC-V subset, including\n"
      "      vindexmac.vx) and executes it; programs halt with ebreak.\n"
      "      --timing       run on the cycle-level timing model\n"
-     "      --trace        print each executed instruction (functional mode)\n"
+     "      --trace        print each executed instruction (functional mode;\n"
+     "                     not with --timing)\n"
      "      --max-steps N  stop after N instructions (default 100000000)\n"
      "      --dump-regs    print architectural registers on exit\n"
      "      --engine E     functional engine: \"interp\" (default) or\n"
      "                     \"threaded\" (predecoded threaded code; identical\n"
-     "                     results, faster; --trace requires interp)\n"},
+     "                     results, faster; --trace requires interp). No\n"
+     "                     effect with --timing, which always runs on the\n"
+     "                     threaded engine's block trace\n"},
     {"sweep", "run a declarative sweep spec and emit a CSV/JSON report",
      "  sweep --spec spec.json [--out file] [--format csv|json] [--threads N]\n"
      "        [--store DIR] [--resume] [--fsync] [--shard i/N]\n"
@@ -110,8 +113,9 @@ const SubcommandDoc kSubcommands[] = {
      "      --shard i/N   run only shard i of N: points are partitioned by\n"
      "                    digest (fnv1a(key) %% N == i-1), so N processes with\n"
      "                    disjoint shards cover the grid exactly once\n"
-     "      --engine E    override the spec's functional engine (reports and\n"
-     "                    cache keys are engine-independent by construction)\n"
+     "      --engine E    accepted (interp|threaded) but no effect, like the\n"
+     "                    spec's \"engine\" key: timing always runs on the\n"
+     "                    threaded engine's block trace\n"
      "      --fsync       with --store: fsync the journal after every record\n"
      "                    (survives power loss, not just process death)\n"
      "      --import DIR  register the checkpoint in DIR (see import-model)\n"
@@ -284,6 +288,12 @@ int cmd_run(int argc, char** argv) {
     std::fprintf(stderr, "imac_run run: --trace requires --engine interp\n");
     return 2;
   }
+  if (trace && timing) {
+    // The timed run prints statistics, not an instruction trace; silently
+    // ignoring --trace would hide that nothing was traced.
+    std::fprintf(stderr, "imac_run run: --trace cannot be combined with --timing\n");
+    return 2;
+  }
 
   std::ifstream file(path);
   if (!file) {
@@ -299,7 +309,7 @@ int cmd_run(int argc, char** argv) {
 
   MainMemory mem;
   if (timing) {
-    timing::TimingSim sim(assembled.program, mem, timing::ProcessorConfig{}, engine);
+    timing::TimingSim sim(assembled.program, mem, timing::ProcessorConfig{});
     const timing::TimingStats& stats = sim.run(max_steps);
     std::printf("cycles: %llu  instructions: %llu  IPC: %.2f\n",
                 static_cast<unsigned long long>(stats.cycles),
@@ -438,9 +448,8 @@ int cmd_sweep(int argc, char** argv) {
   }
 
   core::SweepSpec spec = core::parse_sweep_spec_file(spec_path);
-  // The CLI flag wins over the spec's "engine" key. Applied before
-  // expansion so every point's RunConfig carries it; cache keys and
-  // reports are unaffected by construction.
+  // The CLI flag wins over the spec's "engine" key. Neither affects timing
+  // (see SweepSpec::engine); the name is still validated.
   if (engine_text != nullptr) spec.engine = parse_exec_engine(engine_text);
   std::vector<core::SweepPoint> points = core::expand_sweep(spec);
   const std::size_t full_grid = points.size();

@@ -80,11 +80,12 @@ class CompareTest(unittest.TestCase):
 
 
 class RatioGateTest(unittest.TestCase):
-    """The hard gate: vector_heavy_threaded MIPS / vector_heavy MIPS."""
+    """check_ratio itself: MIPS of pair[0] over MIPS of pair[1] against a
+    floor, on its default pair (the model-cost gate)."""
 
     def test_passes_at_the_floor(self):
         lines, failed = check_throughput.check_ratio(
-            report([("vector_heavy", 10.0), ("vector_heavy_threaded", 20.0)]),
+            report([("fsim_vector_threaded", 10.0), ("vector_heavy", 20.0)]),
             floor=2.0)
         self.assertFalse(failed)
         self.assertTrue(any("ratio 2.00 (floor 2.00)" in l for l in lines))
@@ -92,72 +93,76 @@ class RatioGateTest(unittest.TestCase):
 
     def test_fails_below_the_floor(self):
         lines, failed = check_throughput.check_ratio(
-            report([("vector_heavy", 10.0), ("vector_heavy_threaded", 19.0)]),
+            report([("fsim_vector_threaded", 10.0), ("vector_heavy", 19.0)]),
             floor=2.0)
+        self.assertTrue(failed)
+        self.assertTrue(any(l.startswith("::error::") and "below the floor" in l
+                            for l in lines))
+
+
+class GateTestBase:
+    """Shared cases for one hard gate: PAIR over its FLOOR."""
+
+    PAIR = None
+    FLOOR = None
+
+    def gate(self, scenarios, floor=0.15):
+        return check_throughput.check_ratio(report(scenarios), floor=floor, pair=self.PAIR)
+
+    def test_passes_at_the_floor(self):
+        num, den = self.PAIR
+        lines, failed = self.gate([(den, 200.0), (num, 30.0)])
+        self.assertFalse(failed)
+        self.assertTrue(any(f"{num}/{den} MIPS ratio 0.15 (floor 0.15)" in l for l in lines))
+        self.assertFalse(any(l.startswith("::error::") for l in lines))
+
+    def test_fails_below_the_floor(self):
+        num, den = self.PAIR
+        lines, failed = self.gate([(den, 200.0), (num, 29.0)])
         self.assertTrue(failed)
         self.assertTrue(any(l.startswith("::error::") and "below the floor" in l
                             for l in lines))
 
     def test_missing_scenario_fails(self):
         # Dropping a scenario from the bench must not switch the gate off.
-        for present in ("vector_heavy", "vector_heavy_threaded"):
-            lines, failed = check_throughput.check_ratio(
-                report([(present, 10.0)]), floor=2.0)
-            self.assertTrue(failed, present)
-            self.assertTrue(any("missing" in l for l in lines), present)
-
-    def test_zero_denominator_fails(self):
-        _, failed = check_throughput.check_ratio(
-            report([("vector_heavy", 0.0), ("vector_heavy_threaded", 20.0)]),
-            floor=2.0)
-        self.assertTrue(failed)
-
-    def test_default_floor_is_set(self):
-        self.assertGreater(check_throughput.THREADED_TRACE_FLOOR, 1.0)
-
-
-class ModelCostGateTest(unittest.TestCase):
-    """The second hard gate: vector_heavy_threaded MIPS / fsim_vector_threaded
-    MIPS, the timing model's cost relative to the functional engine."""
-
-    PAIR = check_throughput.MODEL_COST_RATIO
-
-    def gate(self, scenarios, floor=0.15):
-        return check_throughput.check_ratio(report(scenarios), floor=floor, pair=self.PAIR)
-
-    def test_pair_is_model_over_fsim(self):
-        self.assertEqual(self.PAIR, ("vector_heavy_threaded", "fsim_vector_threaded"))
-
-    def test_passes_at_the_floor(self):
-        lines, failed = self.gate([("fsim_vector_threaded", 200.0),
-                                   ("vector_heavy_threaded", 30.0)])
-        self.assertFalse(failed)
-        self.assertTrue(any("vector_heavy_threaded/fsim_vector_threaded MIPS ratio 0.15 "
-                            "(floor 0.15)" in l for l in lines))
-        self.assertFalse(any(l.startswith("::error::") for l in lines))
-
-    def test_fails_below_the_floor(self):
-        lines, failed = self.gate([("fsim_vector_threaded", 200.0),
-                                   ("vector_heavy_threaded", 29.0)])
-        self.assertTrue(failed)
-        self.assertTrue(any(l.startswith("::error::") and "below the floor" in l
-                            for l in lines))
-
-    def test_missing_scenario_fails(self):
         for present in self.PAIR:
             lines, failed = self.gate([(present, 10.0)])
             self.assertTrue(failed, present)
             self.assertTrue(any("missing" in l for l in lines), present)
 
     def test_zero_denominator_fails(self):
-        lines, failed = self.gate([("fsim_vector_threaded", 0.0),
-                                   ("vector_heavy_threaded", 30.0)])
+        num, den = self.PAIR
+        lines, failed = self.gate([(den, 0.0), (num, 30.0)])
         self.assertTrue(failed)
         self.assertTrue(any("undefined" in l for l in lines))
 
-    def test_default_floor_is_set(self):
-        self.assertGreater(check_throughput.MODEL_COST_FLOOR, 0.0)
-        self.assertLess(check_throughput.MODEL_COST_FLOOR, 1.0)
+    def test_default_floor_is_a_fraction(self):
+        self.assertGreater(self.FLOOR, 0.0)
+        self.assertLess(self.FLOOR, 1.0)
+
+
+class ModelCostGateTest(GateTestBase, unittest.TestCase):
+    """vector_heavy MIPS / fsim_vector_threaded MIPS: the timing model's
+    cost relative to the functional engine."""
+
+    PAIR = check_throughput.MODEL_COST_RATIO
+    FLOOR = check_throughput.MODEL_COST_FLOOR
+
+    def test_pair_is_model_over_threaded_fsim(self):
+        self.assertEqual(self.PAIR, ("vector_heavy", "fsim_vector_threaded"))
+        self.assertEqual(self.FLOOR, 0.12)
+
+
+class BlockTraceGateTest(GateTestBase, unittest.TestCase):
+    """vector_heavy MIPS / fsim_vector_interp MIPS: block-driven timing
+    against the interpreter alone, which a per-instruction trace cannot
+    reach."""
+
+    PAIR = check_throughput.BLOCK_TRACE_RATIO
+    FLOOR = check_throughput.BLOCK_TRACE_FLOOR
+
+    def test_pair_is_model_over_interp_fsim(self):
+        self.assertEqual(self.PAIR, ("vector_heavy", "fsim_vector_interp"))
 
 
 class MainTest(unittest.TestCase):
@@ -172,21 +177,22 @@ class MainTest(unittest.TestCase):
             with mock.patch("sys.argv", argv), mock.patch("builtins.print"):
                 return check_throughput.main()
 
+    def scenarios(self, model_cost, block_trace):
+        """A report whose two gate ratios are the given multiples of their
+        floors."""
+        model = 100.0
+        return [("vector_heavy", model),
+                ("fsim_vector_threaded", model / (check_throughput.MODEL_COST_FLOOR * model_cost)),
+                ("fsim_vector_interp", model / (check_throughput.BLOCK_TRACE_FLOOR * block_trace))]
+
     def test_both_gates_pass(self):
-        fsim = 100.0
-        model = fsim * check_throughput.MODEL_COST_FLOOR * 1.01
-        interp = model / (check_throughput.THREADED_TRACE_FLOOR * 1.01)
-        self.assertEqual(self.run_main([("vector_heavy", interp),
-                                        ("vector_heavy_threaded", model),
-                                        ("fsim_vector_threaded", fsim)]), 0)
+        self.assertEqual(self.run_main(self.scenarios(1.01, 1.01)), 0)
 
     def test_model_cost_gate_fails_the_run(self):
-        fsim = 100.0
-        model = fsim * check_throughput.MODEL_COST_FLOOR * 0.9
-        interp = model / check_throughput.THREADED_TRACE_FLOOR / 2
-        self.assertEqual(self.run_main([("vector_heavy", interp),
-                                        ("vector_heavy_threaded", model),
-                                        ("fsim_vector_threaded", fsim)]), 1)
+        self.assertEqual(self.run_main(self.scenarios(0.9, 1.5)), 1)
+
+    def test_block_trace_gate_fails_the_run(self):
+        self.assertEqual(self.run_main(self.scenarios(1.5, 0.9)), 1)
 
 
 if __name__ == "__main__":
