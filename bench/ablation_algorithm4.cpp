@@ -24,16 +24,14 @@ int main() {
                             Algorithm::kIndexmac4};
 
   // Every (sparsity, unroll, algorithm) cell in one batch; each sparsity's
-  // jobs share one problem instance.
+  // jobs measure one problem instance (seed 7).
   core::BatchRunner pool;
   std::vector<core::BatchJob> jobs;
   for (const auto sp : {sparse::kSparsity14, sparse::kSparsity24}) {
-    auto problem =
-        std::make_shared<const core::SpmmProblem>(core::SpmmProblem::random(dims, sp, 7));
     for (const unsigned unroll : unrolls)
       for (const Algorithm alg : algs)
         jobs.push_back(core::exact_job(
-            problem, RunConfig{.algorithm = alg, .kernel = {.unroll = unroll}}, proc));
+            dims, sp, 7, RunConfig{.algorithm = alg, .kernel = {.unroll = unroll}}, proc));
   }
   print_pool_note(jobs.size(), pool);
   const auto results = core::run_batch(pool, jobs);

@@ -31,17 +31,15 @@ int main() {
       {"late-layer shape", {128, 576, 49}},
   };
 
-  // Four exact simulations per (sparsity, shape) cell; each shape's problem
-  // instance is built once and shared by its four jobs.
+  // Four exact simulations per (sparsity, shape) cell, all on that cell's
+  // problem instance (seed 42).
   core::BatchRunner pool;
   std::vector<core::BatchJob> jobs;
   for (const auto sp : {sparse::kSparsity14, sparse::kSparsity24}) {
     for (const Shape& shape : shapes) {
-      auto problem = std::make_shared<const core::SpmmProblem>(
-          core::SpmmProblem::random(shape.dims, sp, 42));
       auto add = [&](Algorithm alg, Dataflow df) {
         const RunConfig config{.algorithm = alg, .kernel = {.unroll = 4, .dataflow = df}};
-        jobs.push_back(core::exact_job(problem, config, proc));
+        jobs.push_back(core::exact_job(shape.dims, sp, 42, config, proc));
       };
       add(Algorithm::kRowwiseSpmm, Dataflow::kAStationary);
       add(Algorithm::kRowwiseSpmm, Dataflow::kBStationary);

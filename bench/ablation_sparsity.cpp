@@ -21,20 +21,15 @@ int main() {
   // One batch: the dense baseline plus both kernels at every pattern.
   core::BatchRunner pool;
   std::vector<core::BatchJob> jobs;
-  {
-    auto dense_problem = std::make_shared<const core::SpmmProblem>(
-        core::SpmmProblem::random(dims, sparse::Sparsity{4, 4}, 3));
-    jobs.push_back(core::exact_job(
-        dense_problem, RunConfig{.algorithm = Algorithm::kDenseRowwise, .kernel = {.unroll = 1}},
-        proc));
-  }
+  jobs.push_back(core::exact_job(
+      dims, sparse::Sparsity{4, 4}, 3,
+      RunConfig{.algorithm = Algorithm::kDenseRowwise, .kernel = {.unroll = 1}}, proc));
   for (const auto sp : sweep) {
-    auto problem =
-        std::make_shared<const core::SpmmProblem>(core::SpmmProblem::random(dims, sp, 3));
     jobs.push_back(core::exact_job(
-        problem, RunConfig{.algorithm = Algorithm::kRowwiseSpmm, .kernel = {.unroll = 4}}, proc));
+        dims, sp, 3, RunConfig{.algorithm = Algorithm::kRowwiseSpmm, .kernel = {.unroll = 4}},
+        proc));
     jobs.push_back(core::exact_job(
-        problem, RunConfig{.algorithm = Algorithm::kIndexmac, .kernel = {.unroll = 4}}, proc));
+        dims, sp, 3, RunConfig{.algorithm = Algorithm::kIndexmac, .kernel = {.unroll = 4}}, proc));
   }
   print_pool_note(jobs.size(), pool);
   const auto results = core::run_batch(pool, jobs);

@@ -28,11 +28,9 @@ int main() {
   core::BatchRunner pool;
   std::vector<core::BatchJob> jobs;
   for (const auto sp : {sparse::kSparsity14, sparse::kSparsity24}) {
-    auto problem =
-        std::make_shared<const core::SpmmProblem>(core::SpmmProblem::random(dims, sp, 7));
     for (const AlgorithmDescriptor& desc : families)
       jobs.push_back(core::exact_job(
-          problem, RunConfig{.algorithm = desc.algorithm, .kernel = {.unroll = 1}}, proc));
+          dims, sp, 7, RunConfig{.algorithm = desc.algorithm, .kernel = {.unroll = 1}}, proc));
   }
   print_pool_note(jobs.size(), pool);
   const auto results = core::run_batch(pool, jobs);

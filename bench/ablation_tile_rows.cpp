@@ -19,16 +19,15 @@ int main() {
   const unsigned tile_rows[] = {4u, 8u, 16u};
 
   // Per sparsity: the Row-Wise-SpMM reference plus one Proposed run per L,
-  // all sharing that sparsity's problem instance, in one batch.
+  // all on that sparsity's problem instance (seed 11), in one batch.
   core::BatchRunner pool;
   std::vector<core::BatchJob> jobs;
   for (const auto sp : {sparse::kSparsity14, sparse::kSparsity24}) {
-    auto problem =
-        std::make_shared<const core::SpmmProblem>(core::SpmmProblem::random(dims, sp, 11));
     jobs.push_back(core::exact_job(
-        problem, RunConfig{.algorithm = Algorithm::kRowwiseSpmm, .kernel = {.unroll = 4}}, proc));
+        dims, sp, 11, RunConfig{.algorithm = Algorithm::kRowwiseSpmm, .kernel = {.unroll = 4}},
+        proc));
     for (const unsigned l : tile_rows)
-      jobs.push_back(core::exact_job(problem,
+      jobs.push_back(core::exact_job(dims, sp, 11,
                                      RunConfig{.algorithm = Algorithm::kIndexmac,
                                                .kernel = {.unroll = 4},
                                                .tile_rows = l},

@@ -18,18 +18,16 @@ int main() {
   const unsigned unrolls[] = {1u, 2u, 4u};
 
   // Both kernels at every unroll factor, per sparsity, in one batch; each
-  // sparsity's jobs share one problem instance.
+  // sparsity's jobs measure one problem instance (seed 7).
   core::BatchRunner pool;
   std::vector<core::BatchJob> jobs;
   for (const auto sp : {sparse::kSparsity14, sparse::kSparsity24}) {
-    auto problem =
-        std::make_shared<const core::SpmmProblem>(core::SpmmProblem::random(dims, sp, 7));
     for (const unsigned unroll : unrolls) {
       jobs.push_back(core::exact_job(
-          problem, RunConfig{.algorithm = Algorithm::kRowwiseSpmm, .kernel = {.unroll = unroll}},
-          proc));
+          dims, sp, 7,
+          RunConfig{.algorithm = Algorithm::kRowwiseSpmm, .kernel = {.unroll = unroll}}, proc));
       jobs.push_back(core::exact_job(
-          problem, RunConfig{.algorithm = Algorithm::kIndexmac, .kernel = {.unroll = unroll}},
+          dims, sp, 7, RunConfig{.algorithm = Algorithm::kIndexmac, .kernel = {.unroll = unroll}},
           proc));
     }
   }

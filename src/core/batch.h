@@ -4,11 +4,14 @@
 // its MainMemory and no mutable global state affects simulated results —
 // so sweeps over (shape x sparsity x config) are embarrassingly parallel.
 // (The one process-wide mutable in this module, the set_thread_override
-// flag, only selects the default pool width, never what a job computes.) BatchRunner is a fixed-size thread pool; run_batch() executes a
-// vector of BatchJob descriptions on it and returns per-job cycle and
+// flag, only selects the default pool width, never what a job computes.)
+// BatchRunner is a fixed-size thread pool; run_batch() executes a vector
+// of BatchJob descriptions on it and returns per-job cycle and
 // memory-access stats in submission order, bit-identical to running the
-// same jobs serially (each job re-derives its inputs from a deterministic
-// seed, never from shared state).
+// same jobs serially. Each job derives its operands from its own
+// (dims, sparsity, seed) through SpmmProblem::shared, so jobs running at
+// the same time with one key read one immutable operand set whose bytes
+// depend only on that key.
 //
 //   BatchRunner pool;  // one worker per hardware thread
 //   std::vector<BatchJob> jobs = {...};
@@ -109,7 +112,7 @@ class BatchRunner {
 /// executed on any worker thread at any time.
 struct BatchJob {
   enum class Mode {
-    kExact,    ///< run_exact on a problem built from (dims, sp, seed)
+    kExact,    ///< run_exact on SpmmProblem::shared(dims, sp, seed)
     kSampled,  ///< run_sampled on (dims, sp)
   };
 
@@ -119,11 +122,10 @@ struct BatchJob {
   RunConfig config;
   timing::ProcessorConfig processor;
   SampleParams sample;     ///< kSampled only
-  std::uint32_t seed = 1;  ///< kExact only: RNG seed for SpmmProblem::random
-
-  /// kExact only: pre-built problem shared across jobs (overrides `seed`;
-  /// e.g. the ablations compare several configs on one problem instance).
-  std::shared_ptr<const SpmmProblem> problem;
+  /// kExact only: operand seed. Jobs with equal (dims, sp, seed) measure
+  /// the same operands (e.g. the ablations compare several configs on one
+  /// problem instance) and share them while they run.
+  std::uint32_t seed = 1;
 };
 
 /// Shorthand constructors for the two job modes.
@@ -131,8 +133,8 @@ struct BatchJob {
                                    const RunConfig& config,
                                    const timing::ProcessorConfig& processor,
                                    const SampleParams& sample = SampleParams{});
-[[nodiscard]] BatchJob exact_job(std::shared_ptr<const SpmmProblem> problem,
-                                 const RunConfig& config,
+[[nodiscard]] BatchJob exact_job(const kernels::GemmDims& dims, sparse::Sparsity sp,
+                                 std::uint32_t seed, const RunConfig& config,
                                  const timing::ProcessorConfig& processor);
 
 /// Per-job measurement. `cycles` and `data_accesses` are the headline

@@ -147,12 +147,14 @@ SampledResult run_sampled(const kernels::GemmDims& dims, sparse::Sparsity sp,
   sample_dims.rows_a = rows_r;
   sample_dims.cols_b = (full_strips == 0 ? 0 : sample_full * isa::kVlMax) + tail;
 
-  SpmmProblem problem = SpmmProblem::random(sample_dims, sp, /*seed=*/12345);
+  // With rows_a >= 16, sample_dims is the same for every kernel and unroll
+  // 1/2/4, so the points of one layer x sparsity running together share it.
+  const auto problem = SpmmProblem::shared(sample_dims, sp, /*seed=*/12345);
   RunConfig sample_config = config;
   sample_config.kernel.emit_markers = true;
 
   MainMemory mem;
-  const PreparedRun run = prepare(problem, sample_config, mem);
+  const PreparedRun run = prepare(*problem, sample_config, mem);
   timing::TimingSim sim(run.program, mem, processor);
   SampledResult out;
   out.sample_stats = sim.run(params.max_instructions);

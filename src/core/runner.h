@@ -28,7 +28,8 @@ struct ExactResult {
 
 /// Runs the full problem on the timing model. The problem's data content is
 /// irrelevant to timing (kernels are data-independent), so callers usually
-/// construct problems via SpmmProblem::random.
+/// take a seeded problem: run_job fetches SpmmProblem::shared(dims, sp,
+/// seed), which points with the same shape, sparsity and seed share.
 [[nodiscard]] ExactResult run_exact(const SpmmProblem& problem, const RunConfig& config,
                                     const timing::ProcessorConfig& processor);
 
@@ -49,8 +50,10 @@ struct SampledResult {
 };
 
 /// Estimates cycles for (dims, sp, config) from a miniature instrumented
-/// run. Only B-stationary kernels (both algorithms) are supported; the
-/// dataflow ablations use run_exact on smaller layers.
+/// run. The miniature operands are SpmmProblem::shared(miniature dims, sp,
+/// 12345), shared by every point with the same miniature shape and
+/// sparsity while they run. Only B-stationary kernels (both algorithms)
+/// are supported; the dataflow ablations use run_exact on smaller layers.
 [[nodiscard]] SampledResult run_sampled(const kernels::GemmDims& dims, sparse::Sparsity sp,
                                         const RunConfig& config,
                                         const timing::ProcessorConfig& processor,

@@ -1,5 +1,10 @@
 #include "core/spmm_problem.h"
 
+#include <map>
+#include <mutex>
+#include <optional>
+#include <tuple>
+
 #include "common/error.h"
 #include "core/algorithm_registry.h"
 
@@ -20,6 +25,55 @@ SpmmProblem SpmmProblem::random(const kernels::GemmDims& dims, sparse::Sparsity 
       .a = sparse::NmMatrix<float>::prune_from_dense(a_dense, sp),
       .b = sparse::random_matrix<float>(dims.k, dims.cols_b, seed + 1, -1.0f, 1.0f),
   };
+}
+
+namespace {
+
+/// One interned operand set. `build` acts as the entry's once-flag: the
+/// first caller to take it generates, later ones find `problem` set. A
+/// throw leaves `problem` empty, so the next caller generates again.
+struct InternedProblem {
+  std::mutex build;
+  std::optional<SpmmProblem> problem;  ///< guarded by `build`; immutable once set
+};
+
+/// Live operand sets by (rows_a, k, cols_b, n, m, seed). Weak references
+/// only: an entry lives exactly as long as some caller holds its handle.
+struct InternTable {
+  using Key = std::tuple<std::size_t, std::size_t, std::size_t, unsigned, unsigned,
+                         std::uint32_t>;
+  std::mutex mutex;
+  std::map<Key, std::weak_ptr<InternedProblem>> entries;  ///< guarded by `mutex`
+};
+
+InternTable& intern_table() {
+  static InternTable table;
+  return table;
+}
+
+}  // namespace
+
+std::shared_ptr<const SpmmProblem> SpmmProblem::shared(const kernels::GemmDims& dims,
+                                                       sparse::Sparsity sp, std::uint32_t seed) {
+  InternTable& table = intern_table();
+  const InternTable::Key key{dims.rows_a, dims.k, dims.cols_b, sp.n, sp.m, seed};
+  std::shared_ptr<InternedProblem> entry;
+  {
+    std::lock_guard<std::mutex> lock(table.mutex);
+    if (const auto it = table.entries.find(key); it != table.entries.end())
+      entry = it->second.lock();
+    if (!entry) {
+      std::erase_if(table.entries, [](const auto& kv) { return kv.second.expired(); });
+      entry = std::make_shared<InternedProblem>();
+      table.entries[key] = entry;
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(entry->build);
+    if (!entry->problem) entry->problem.emplace(random(dims, sp, seed));
+  }
+  // Aliasing handle: points at the problem, owns the entry.
+  return std::shared_ptr<const SpmmProblem>(entry, &*entry->problem);
 }
 
 sparse::DenseMatrix<float> SpmmProblem::reference() const { return spmm_reference(a, b); }

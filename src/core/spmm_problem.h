@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "asm/program.h"
 #include "fsim/engine.h"
@@ -49,6 +50,17 @@ struct SpmmProblem {
   /// matrix (the paper's TensorFlow pruning substitute), B is dense random.
   [[nodiscard]] static SpmmProblem random(const kernels::GemmDims& dims, sparse::Sparsity sp,
                                           std::uint32_t seed);
+
+  /// The same bytes as random(dims, sp, seed), generated once per key while
+  /// any handle to it is alive: a process-wide table holds only weak
+  /// references, so concurrent jobs that share (dims, sp, seed) share one
+  /// read-only operand set, and it is freed when the last of them drops
+  /// its handle. Thread-safe; callers racing on a new key generate it once
+  /// (the others wait), and a generator exception reaches the caller
+  /// without leaving the key unusable.
+  [[nodiscard]] static std::shared_ptr<const SpmmProblem> shared(const kernels::GemmDims& dims,
+                                                                 sparse::Sparsity sp,
+                                                                 std::uint32_t seed);
 
   /// Golden result via the reference (scalar) implementation.
   [[nodiscard]] sparse::DenseMatrix<float> reference() const;

@@ -263,16 +263,8 @@ std::vector<SweepPoint> expand_sweep(const SweepSpec& spec) {
 }
 
 BatchJob point_job(const SweepSpec& spec, const SweepPoint& p) {
-  if (spec.mode == SweepMode::kExact) {
-    BatchJob job;
-    job.mode = BatchJob::Mode::kExact;
-    job.dims = p.dims;
-    job.sp = p.sp;
-    job.config = p.config;
-    job.processor = spec.processor;
-    job.seed = spec.seed;
-    return job;
-  }
+  if (spec.mode == SweepMode::kExact)
+    return exact_job(p.dims, p.sp, spec.seed, p.config, spec.processor);
   return sampled_job(p.dims, p.sp, p.config, spec.processor, spec.sample);
 }
 

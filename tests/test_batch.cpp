@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
+#include <memory>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "common/error.h"
 
@@ -45,16 +49,8 @@ std::vector<BatchJob> mixed_sweep() {
   for (const auto sp : {sparse::kSparsity14, sparse::kSparsity24}) {
     for (const auto& dims :
          {kernels::GemmDims{16, 64, 32}, kernels::GemmDims{32, 48, 16}}) {
-      for (const RunConfig& config : {rowwise, proposed}) {
-        BatchJob job;
-        job.mode = BatchJob::Mode::kExact;
-        job.dims = dims;
-        job.sp = sp;
-        job.config = config;
-        job.processor = proc;
-        job.seed = seed++;
-        jobs.push_back(job);
-      }
+      for (const RunConfig& config : {rowwise, proposed})
+        jobs.push_back(core::exact_job(dims, sp, seed++, config, proc));
     }
     jobs.push_back(core::sampled_job({64, 128, 48}, sp, proposed, proc,
                                      {.sample_rows = 8, .sample_full_strips = 2}));
@@ -93,18 +89,18 @@ TEST(BatchRunner, ResultOrderMatchesSubmissionOrderAtAnyThreadCount) {
 
 TEST(BatchRunner, SharedProblemJobsMatchDirectRuns) {
   const timing::ProcessorConfig proc{};
-  auto problem = std::make_shared<const core::SpmmProblem>(
-      core::SpmmProblem::random({16, 64, 32}, sparse::kSparsity24, 42));
+  const kernels::GemmDims dims{16, 64, 32};
+  const auto problem = core::SpmmProblem::random(dims, sparse::kSparsity24, 42);
   const RunConfig rowwise{.algorithm = Algorithm::kRowwiseSpmm, .kernel = {.unroll = 2}};
   const RunConfig proposed{.algorithm = Algorithm::kIndexmac, .kernel = {.unroll = 2}};
 
   const auto results =
-      core::run_batch({core::exact_job(problem, rowwise, proc),
-                       core::exact_job(problem, proposed, proc)},
+      core::run_batch({core::exact_job(dims, sparse::kSparsity24, 42, rowwise, proc),
+                       core::exact_job(dims, sparse::kSparsity24, 42, proposed, proc)},
                       2);
   ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].stats.cycles, core::run_exact(*problem, rowwise, proc).stats.cycles);
-  EXPECT_EQ(results[1].stats.cycles, core::run_exact(*problem, proposed, proc).stats.cycles);
+  EXPECT_EQ(results[0].stats.cycles, core::run_exact(problem, rowwise, proc).stats.cycles);
+  EXPECT_EQ(results[1].stats.cycles, core::run_exact(problem, proposed, proc).stats.cycles);
   EXPECT_GT(results[0].cycles, results[1].cycles);  // the paper's headline result
 }
 
@@ -128,13 +124,11 @@ TEST(BatchRunner, ThrowingTaskDoesNotDeadlockThePool) {
 TEST(BatchRunner, ThrowingJobReportsFirstErrorAfterAllJobsFinish) {
   const timing::ProcessorConfig proc{};
   std::vector<BatchJob> jobs = mixed_sweep();
-  BatchJob bad;  // unroll=5 is rejected by the kernel generators
-  bad.mode = BatchJob::Mode::kExact;
-  bad.dims = {16, 64, 32};
-  bad.sp = sparse::kSparsity14;
-  bad.config = RunConfig{.algorithm = Algorithm::kIndexmac, .kernel = {.unroll = 5}};
-  bad.processor = proc;
-  jobs.insert(jobs.begin() + 1, bad);
+  // unroll=5 is rejected by the kernel generators
+  jobs.insert(jobs.begin() + 1,
+              core::exact_job({16, 64, 32}, sparse::kSparsity14, 1,
+                              RunConfig{.algorithm = Algorithm::kIndexmac, .kernel = {.unroll = 5}},
+                              proc));
 
   EXPECT_THROW((void)core::run_batch(jobs, 4), SimError);
 
@@ -201,6 +195,104 @@ TEST(BatchRunner, ThreadOverrideWinsOverEnvironment) {
   EXPECT_EQ(BatchRunner::default_thread_count(), 5u);
   BatchRunner::set_thread_override(0);
   ASSERT_EQ(unsetenv("INDEXMAC_THREADS"), 0);
+}
+
+// SpmmProblem::shared interns live operand sets: the pool's workers read
+// one immutable problem per (dims, sparsity, seed) while any job holds it.
+
+void expect_same_operands(const core::SpmmProblem& got, const core::SpmmProblem& want) {
+  ASSERT_EQ(got.a.rows(), want.a.rows());
+  ASSERT_EQ(got.a.blocks_per_row(), want.a.blocks_per_row());
+  ASSERT_EQ(got.a.sparsity(), want.a.sparsity());
+  for (std::size_t r = 0; r < want.a.rows(); ++r)
+    for (std::size_t blk = 0; blk < want.a.blocks_per_row(); ++blk)
+      for (unsigned slot = 0; slot < want.sp.n; ++slot) {
+        ASSERT_EQ(got.a.value_at(r, blk, slot), want.a.value_at(r, blk, slot));
+        ASSERT_EQ(got.a.index_at(r, blk, slot), want.a.index_at(r, blk, slot));
+      }
+  EXPECT_TRUE(got.b == want.b);
+}
+
+TEST(SpmmProblemShared, OneObjectPerLiveKey) {
+  const kernels::GemmDims dims{16, 64, 32};
+  const auto first = core::SpmmProblem::shared(dims, sparse::kSparsity24, 42);
+  const auto second = core::SpmmProblem::shared(dims, sparse::kSparsity24, 42);
+  EXPECT_EQ(first.get(), second.get());
+  expect_same_operands(*first, core::SpmmProblem::random(dims, sparse::kSparsity24, 42));
+
+  // Each key component selects its own operand set.
+  const auto other_seed = core::SpmmProblem::shared(dims, sparse::kSparsity24, 43);
+  const auto other_sp = core::SpmmProblem::shared(dims, sparse::kSparsity14, 42);
+  const auto other_rows = core::SpmmProblem::shared({32, 64, 32}, sparse::kSparsity24, 42);
+  const auto other_k = core::SpmmProblem::shared({16, 128, 32}, sparse::kSparsity24, 42);
+  const auto other_cols = core::SpmmProblem::shared({16, 64, 48}, sparse::kSparsity24, 42);
+  for (const auto& other : {other_seed, other_sp, other_rows, other_k, other_cols})
+    EXPECT_NE(other.get(), first.get());
+  EXPECT_EQ(other_sp->sp, sparse::kSparsity14);
+  EXPECT_EQ(other_cols->dims.cols_b, 48u);
+  expect_same_operands(*other_seed, core::SpmmProblem::random(dims, sparse::kSparsity24, 43));
+}
+
+TEST(SpmmProblemShared, EntryLivesExactlyAsLongAsAHandle) {
+  const kernels::GemmDims dims{16, 48, 16};
+  std::weak_ptr<const core::SpmmProblem> weak;
+  {
+    auto first = core::SpmmProblem::shared(dims, sparse::kSparsity14, 5);
+    const auto second = core::SpmmProblem::shared(dims, sparse::kSparsity14, 5);
+    weak = first;
+    first.reset();
+    EXPECT_FALSE(weak.expired());  // `second` still holds it
+  }
+  EXPECT_TRUE(weak.expired());
+  // The key regenerates the same bytes after its entry died.
+  expect_same_operands(*core::SpmmProblem::shared(dims, sparse::kSparsity14, 5),
+                       core::SpmmProblem::random(dims, sparse::kSparsity14, 5));
+}
+
+TEST(SpmmProblemShared, RacingFirstCallsGetOneObject) {
+  // A key no other test uses, so all eight threads race on a new entry.
+  const kernels::GemmDims dims{64, 96, 48};
+  constexpr std::size_t kThreads = 8;
+  std::barrier start(static_cast<std::ptrdiff_t>(kThreads));
+  std::vector<std::shared_ptr<const core::SpmmProblem>> handles(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i)
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      handles[i] = core::SpmmProblem::shared(dims, sparse::kSparsity24, 2024);
+    });
+  for (std::thread& t : threads) t.join();
+  for (const auto& handle : handles) EXPECT_EQ(handle.get(), handles[0].get());
+  expect_same_operands(*handles[0], core::SpmmProblem::random(dims, sparse::kSparsity24, 2024));
+}
+
+TEST(SpmmProblemShared, GeneratorErrorReachesEveryCallerAndLeavesKeyUsable) {
+  // N = 0 is rejected by the N:M container, so the generator throws.
+  const kernels::GemmDims dims{8, 16, 16};
+  const sparse::Sparsity invalid{0, 4};
+  EXPECT_THROW((void)core::SpmmProblem::random(dims, invalid, 1), SimError);
+
+  // Racing callers each see the error; none hangs on the failed entry.
+  constexpr std::size_t kThreads = 4;
+  std::barrier start(static_cast<std::ptrdiff_t>(kThreads));
+  std::atomic<int> errors{0};
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i)
+    threads.emplace_back([&] {
+      start.arrive_and_wait();
+      try {
+        (void)core::SpmmProblem::shared(dims, invalid, 1);
+      } catch (const SimError&) {
+        ++errors;
+      }
+    });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(errors.load(), static_cast<int>(kThreads));
+
+  // A later call runs the generator again rather than finding a poisoned
+  // entry: the same error, not a null handle or a hang.
+  EXPECT_THROW((void)core::SpmmProblem::shared(dims, invalid, 1), SimError);
+  EXPECT_NE(core::SpmmProblem::shared(dims, sparse::kSparsity14, 1), nullptr);
 }
 
 }  // namespace

@@ -44,17 +44,22 @@ TEST(SweepGolden, TinySweepReproducesCheckedInCsvByteForByte) {
   const SweepSpec spec = parse_sweep_spec_file(golden_path("tiny_sweep.json"));
   const std::string expected = read_file(golden_path("tiny_sweep.csv"));
 
-  const SweepReport report = run_sweep(spec, /*threads=*/2);
-  const std::string actual = report_to_csv(report);
+  // Points sharing operands share one live SpmmProblem; whether siblings
+  // overlap depends on the pool width, and the bytes must not.
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const SweepReport report = run_sweep(spec, threads);
+    const std::string actual = report_to_csv(report);
 
-  if (actual != expected) {
-    // Print both documents whole: the diff IS the regression report.
-    ADD_FAILURE() << "golden sweep drifted.\n--- expected (tiny_sweep.csv)\n"
-                  << expected << "--- actual\n"
-                  << actual
-                  << "--- if the timing-model change is intentional, regenerate with:\n"
-                     "    imac_run sweep --spec tests/golden/tiny_sweep.json "
-                     "--out tests/golden/tiny_sweep.csv\n";
+    if (actual != expected) {
+      // Print both documents whole: the diff IS the regression report.
+      ADD_FAILURE() << "golden sweep drifted.\n--- expected (tiny_sweep.csv)\n"
+                    << expected << "--- actual\n"
+                    << actual
+                    << "--- if the timing-model change is intentional, regenerate with:\n"
+                       "    imac_run sweep --spec tests/golden/tiny_sweep.json "
+                       "--out tests/golden/tiny_sweep.csv\n";
+    }
   }
 }
 
