@@ -13,8 +13,9 @@
 //
 // Blocks are also the unit the timing model's trace consumes: run_block()
 // executes one whole block — fused chains included — and records, per
-// instruction, the pre-execution values a timing::DynInst is built from
-// (x[rs1], vl, gather offsets), so the trace never single-steps the engine.
+// instruction, the pre-execution values the timing model reads each op's
+// addresses and register indices from (x[rs1], vl, gather offsets; see
+// timing::OpView), so the trace never single-steps the engine.
 //
 // Correctness contract: every observable effect — architectural state,
 // memory contents, instructions_retired, marker-hook calls, stop reasons

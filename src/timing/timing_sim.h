@@ -1,9 +1,12 @@
 // Cycle-level timing model of the decoupled vector processor (Table I).
 //
 // Model style: trace-driven timestamp dataflow. The functional simulator
-// supplies the committed instruction stream (timing/trace.h: whole
-// threaded-engine blocks whose recorded per-instruction values are
-// replayed in order); for each dynamic instruction the model computes
+// supplies the committed instruction stream as units (timing/trace.h:
+// whole threaded-engine blocks, or single fallback instructions). The
+// model walks each unit's slots in order through one lazy op view over the
+// recorded values, switching on a per-slot timing kind predecoded once per
+// program; no per-instruction record is built. For each dynamic
+// instruction it computes
 // fetch/dispatch/issue/complete/commit cycles subject to
 //   * front-end width and branch-mispredict refill (static BTFNT predictor),
 //   * ROB / LSQ / physical-register-file style occupancy (ROB bound),
@@ -28,6 +31,9 @@
 // is out of order and keeps the windowed PortScheduler. No per-instruction
 // step divides: the lane-rate quotients (engine occupancy per vl, gather
 // address slots) are tables built per run, and the L2 bank is a mask.
+// The model counts into a TimingStats of its own, copied out when the run
+// ends or throws: counting through a reference would let each store alias
+// the model's other 64-bit state.
 //
 // See docs/simplifications.md for the deliberate simplifications.
 #pragma once

@@ -5,23 +5,26 @@
 // mispredict penalty models the front-end refill (see docs/simplifications.md).
 //
 // The source advances the functional simulator on the threaded engine one
-// unit at a time and then hands the unit's instructions out one by one. A
-// unit is one whole predecoded block, fused chains included
-// (ThreadedEngine::run_block), and each DynInst is built from the
-// pre-execution values the block recorded. Fallback-class ops (SSR,
-// illegal) stay single-instruction units, built from the live pre-state
-// and then executed through run_block's Machine::step fallback. Every
-// record equals what the interpreter's state held before that instruction
-// (the engine's correctness contract; tests/trace_reference.h re-derives
-// the stream from Machine::step independently). The Machine can be up to
-// one block ahead of the last delivered instruction; next_pc() names the
-// instruction next() will deliver.
+// unit at a time (next_unit). A unit is one whole predecoded block, fused
+// chains included (ThreadedEngine::run_block), with the pre-execution
+// values the block recorded per instruction; fallback-class ops (SSR,
+// illegal) are single-instruction units whose values — SSR stream words
+// included — are read from the live pre-state before run_block's
+// Machine::step fallback executes them. The timing model walks a unit's
+// slots through OpView, which derives addresses, indirect registers and the
+// like from those values only where the model reads them. Every record
+// equals what the interpreter's state held before that instruction (the
+// engine's correctness contract; tests/trace_reference.h re-derives the
+// stream from Machine::step independently). next(DynInst&) is an adapter
+// that hands a unit's instructions out one by one, each filled from the same
+// view. The Machine can be up to one unit ahead of the last consumed
+// instruction; its pc names the first instruction of the next unit.
 //
-// The trace is zero-allocation: next() fills a caller-owned DynInst slot in
-// place, gather addresses live in a fixed scratch buffer owned by the
-// TraceSource (vl never exceeds isa::kVlMax), and block records live in
-// engine storage sized when the block was built, so retiring an
-// instruction — gathers included — performs no heap allocation.
+// The trace is zero-allocation: units alias engine storage sized when the
+// block was built, next() fills a caller-owned DynInst in place and its
+// gather addresses live in a fixed scratch buffer owned by the TraceSource
+// (vl never exceeds isa::kVlMax), so retiring an instruction — gathers
+// included — performs no heap allocation.
 #pragma once
 
 #include <array>
@@ -36,9 +39,83 @@
 
 namespace indexmac::timing {
 
-/// One dynamic (executed) instruction with everything timing needs.
-/// `info` and `gather_addrs` point into Program / TraceSource storage; a
-/// DynInst is only valid until the next TraceSource::next() call.
+/// The stream words a streaming MAC (v(f)indexmacs) pops next, resolved
+/// from the pre-state of its fallback unit.
+struct SsrOperands {
+  std::uint64_t value_addr = 0;  ///< stream-0 word address
+  std::uint64_t index_addr = 0;  ///< stream-1 word address
+  std::uint8_t vreg = 0;         ///< VRF row the stream-1 word names (0 if none)
+};
+
+/// One unit of the trace: a whole engine block or one fallback instruction.
+/// The pointers alias engine / TraceSource storage and stay valid until the
+/// next next_unit() or next() call.
+struct TraceUnit {
+  std::size_t slot = 0;           ///< program slot of the first instruction
+  std::uint32_t count = 0;        ///< instructions in the unit
+  const OpRecord* ops = nullptr;  ///< per instruction: pre-execution x[rs1], vl
+  /// vluxei32 entries: the offsets v[rs2] held before the gather, indexed
+  /// like ops; null for fallback units.
+  const std::array<std::uint32_t, isa::kVlMax>* gather = nullptr;
+  std::uint64_t exit_pc = 0;      ///< machine pc after the unit: its last op's successor
+  StopReason stop = StopReason::kRunning;  ///< stop reason of the last instruction
+
+  [[nodiscard]] bool halts() const {
+    return stop == StopReason::kEbreak || stop == StopReason::kEcall;
+  }
+};
+
+/// One instruction of a unit as the timing model reads it: the static
+/// instruction and its predecoded info plus the values recorded before it
+/// executed. Everything else is derived on access, so an op pays only for
+/// the fields its timing path reads.
+struct OpView {
+  const isa::Instruction& inst;
+  const isa::StaticInstInfo& info;
+  std::uint64_t pc;
+  std::uint64_t rs1;               ///< x[rs1] before the instruction
+  std::uint32_t vl;                ///< vl before the instruction
+  const std::uint32_t* offsets;    ///< vluxei32: v[rs2] before it, else null
+  std::uint64_t successor;         ///< pc executed next (pc + 4 inside a unit)
+  const SsrOperands& ssr;          ///< v(f)indexmacs: the stream words it pops
+
+  /// Branches/jumps: control transferred.
+  [[nodiscard]] bool taken() const { return successor != pc + 4; }
+  /// Scalar loads/stores and unit-stride vector loads/stores.
+  [[nodiscard]] std::uint64_t mem_addr() const {
+    return info.has(isa::kSiVector) ? rs1 : rs1 + static_cast<std::int64_t>(inst.imm);
+  }
+  [[nodiscard]] std::uint32_t mem_bytes() const {
+    return info.has(isa::kSiVector) ? vl * 4 : info.scalar_mem_bytes;
+  }
+  /// vluxei32: the address of element i (i < vl).
+  [[nodiscard]] std::uint64_t gather_addr(std::uint32_t i) const { return rs1 + offsets[i]; }
+  /// v(f)indexmac*: the (first) VRF row read through x[rs1]; streaming
+  /// MACs: the row their stream-1 word names.
+  [[nodiscard]] std::uint8_t indirect_vreg() const {
+    if (info.has(isa::kSiSsrMac)) return ssr.vreg;
+    if (info.has(isa::kSiPackedIndex)) return static_cast<std::uint8_t>(16u | (rs1 & 0xf));
+    return static_cast<std::uint8_t>(rs1 & 0x1f);
+  }
+  /// Dual-row forms: the second VRF row.
+  [[nodiscard]] std::uint8_t indirect_vreg2() const {
+    return static_cast<std::uint8_t>(16u | ((rs1 >> 4) & 0xf));
+  }
+  /// Markers: the event id.
+  [[nodiscard]] std::int32_t marker_id() const { return inst.imm; }
+  /// ssrcfg/ssren: bit s set iff the op reprograms stream s's address
+  /// generator (ssrcfg: the stream named by rd; ssren: the streams being
+  /// enabled, which rewind to their base).
+  [[nodiscard]] std::uint8_t ssr_ctl_mask() const {
+    return inst.op == isa::Op::kSsrCfg ? static_cast<std::uint8_t>(1u << inst.rd)
+                                       : static_cast<std::uint8_t>(rs1 & 0xf);
+  }
+};
+
+/// One dynamic (executed) instruction with every trace field filled in:
+/// what TraceSource::next() hands out, one OpView expanded. `info` and
+/// `gather_addrs` point into Program / TraceSource storage; a DynInst is
+/// only valid until the next TraceSource::next() call.
 struct DynInst {
   isa::Instruction inst;
   const isa::StaticInstInfo* info = nullptr;  ///< predecoded metadata for inst
@@ -55,20 +132,16 @@ struct DynInst {
   std::uint32_t gather_count = 0;   ///< vluxei32: number of element addresses
   const std::uint64_t* gather_addrs = nullptr;  ///< vluxei32: per-element addresses
   std::int32_t marker_id = -1;      ///< markers: id, else -1
-  /// ssrcfg/ssren: bit s set iff this op reprograms stream s's address
-  /// generator (ssrcfg: the stream named by rd; ssren: the streams being
-  /// enabled, which rewind to their base). Timing uses this to invalidate
-  /// only the affected streams' line buffers.
-  std::uint8_t ssr_ctl_mask = 0;
+  std::uint8_t ssr_ctl_mask = 0;    ///< ssrcfg/ssren: OpView::ssr_ctl_mask()
 };
 
-/// Pulls dynamic instructions from a functional Machine.
+/// Pulls trace units from a functional Machine.
 class TraceSource {
  public:
   /// `engine` advances `machine` block by block; it must be bound to
   /// `machine`. When null, the source builds and owns an engine of its
   /// own. Marker hooks on `machine` fire as each block executes, which can
-  /// be ahead of delivery.
+  /// be ahead of consumption.
   explicit TraceSource(Machine& machine, ThreadedEngine* engine = nullptr)
       : machine_(machine),
         owned_(engine == nullptr ? std::make_unique<ThreadedEngine>(machine) : nullptr),
@@ -78,48 +151,67 @@ class TraceSource {
         base_(machine.program().base()),
         code_bytes_(machine.program().end() - machine.program().base()) {}
 
+  /// Executes the unit at the machine's pc and describes it in `unit`.
+  /// Must not be called once a unit has halted.
+  void next_unit(TraceUnit& unit) {
+    const std::size_t slot = slot_of(machine_.state().pc);
+    unit.slot = slot;
+    if (info_[slot].has(isa::kSiThreadedFallback)) {
+      // A fallback unit: read its values from the live pre-state, then let
+      // run_block()'s Machine::step fallback execute it.
+      const ArchState& pre = machine_.state();
+      const isa::Instruction& in = code_[slot];
+      fallback_rec_ = OpRecord{pre.x[in.rs1], pre.vl};
+      if (info_[slot].has(isa::kSiSsrMac)) resolve_streams();
+      unit.count = 1;
+      unit.ops = &fallback_rec_;
+      unit.gather = nullptr;
+      BlockTrace ignored;
+      unit.stop = engine_.run_block(ignored);
+    } else {
+      BlockTrace block;
+      unit.stop = engine_.run_block(block);
+      unit.count = block.count;
+      unit.ops = block.ops;
+      unit.gather = block.gather;
+    }
+    unit.exit_pc = machine_.state().pc;
+  }
+
+  /// The view of instruction `i` of `unit`.
+  [[nodiscard]] OpView op(const TraceUnit& unit, std::uint32_t i) const {
+    const std::size_t slot = unit.slot + i;
+    const std::uint64_t pc = pc_of(slot);
+    return OpView{code_[slot],
+                  info_[slot],
+                  pc,
+                  unit.ops[i].rs1,
+                  unit.ops[i].vl,
+                  unit.gather != nullptr ? unit.gather[i].data() : nullptr,
+                  i + 1 == unit.count ? unit.exit_pc : pc + 4,
+                  ssr_};
+  }
+
   /// Fills `out` with the next executed instruction and returns true, or
   /// returns false after the halt instruction has been delivered (the halt
   /// itself is delivered with is_halt=true). `out.gather_addrs` aliases
   /// scratch storage owned by this TraceSource: it is overwritten by the
   /// following next() call and must not outlive it.
   bool next(DynInst& out) {
-    if (done_) return false;
-    if (pos_ == count_) {
-      // Block drained: the machine sits on the next undelivered pc.
-      const std::size_t slot = slot_of(machine_.state().pc);
-      if (info_[slot].has(isa::kSiThreadedFallback)) return step_unit(out, slot);
-      slot_ = slot;
-      stop_ = engine_.run_block(block_);
+    if (pos_ == unit_.count) {
+      if (unit_.count != 0 && unit_.halts()) return false;
+      next_unit(unit_);
       pos_ = 0;
-      count_ = block_.count;
     }
     const std::uint32_t i = pos_++;
-    const OpRecord& rec = block_.ops[i];
-    const isa::StaticInstInfo& si =
-        fill(out, slot_ + i, rec.rs1, rec.vl, block_.gather[i].data());
-    finish(out, si, pos_ == count_ ? stop_ : StopReason::kRunning);
+    fill(out, op(unit_, i));
+    out.is_halt = pos_ == unit_.count && unit_.halts();
     return true;
   }
 
-  /// The pc of the instruction the next next() call delivers (the machine's
-  /// pc once the current unit is drained).
-  [[nodiscard]] std::uint64_t next_pc() const {
-    return pos_ < count_ ? base_ + 4ull * (slot_ + pos_) : machine_.state().pc;
-  }
+  [[nodiscard]] std::uint64_t pc_of(std::size_t slot) const { return base_ + 4ull * slot; }
 
  private:
-  /// Delivers the fallback-class instruction in `slot` as a unit of its
-  /// own, built from the live pre-state and executed by run_block()'s
-  /// Machine::step fallback.
-  bool step_unit(DynInst& out, std::size_t slot) {
-    const ArchState& pre = machine_.state();
-    const isa::Instruction& in = code_[slot];
-    const isa::StaticInstInfo& si = fill(out, slot, pre.x[in.rs1], pre.vl, pre.v[in.rs2].data());
-    finish(out, si, engine_.run_block(block_));
-    return true;
-  }
-
   /// The program slot of `pc`; raises when pc is outside the program.
   std::size_t slot_of(std::uint64_t pc) const {
     const std::uint64_t offset = pc - base_;
@@ -128,18 +220,26 @@ class TraceSource {
     return offset >> 2;
   }
 
-  /// Builds the DynInst of the instruction in `slot` from the values it
-  /// reads before executing: x[rs1], vl and (gathers) the v[rs2] offsets.
-  /// SSR ops always run as single-instruction units, so their stream state
-  /// is read from the live machine, still pre-execution.
-  const isa::StaticInstInfo& fill(DynInst& out, std::size_t slot, std::uint64_t rs1,
-                                  std::uint32_t vl, const std::uint32_t* offsets) {
-    const isa::Instruction& in = code_[slot];
-    const isa::StaticInstInfo& si = info_[slot];
-    out.inst = in;
+  /// Resolves the stream words the streaming MAC about to execute pops,
+  /// before the machine advances the stream positions. The machine itself
+  /// raises on a disabled/empty stream when it executes.
+  void resolve_streams() {
+    const auto& streams = machine_.ssr();
+    ssr_.value_addr = streams[0].base + 4ull * streams[0].pos;
+    ssr_.index_addr = streams[1].base + 4ull * streams[1].pos;
+    ssr_.vreg = streams[1].enabled && streams[1].count != 0
+                    ? static_cast<std::uint8_t>(machine_.memory().read_u32(ssr_.index_addr) & 0x1f)
+                    : 0;
+  }
+
+  /// Expands `v` into every DynInst field.
+  void fill(DynInst& out, const OpView& v) {
+    const isa::StaticInstInfo& si = v.info;
+    out.inst = v.inst;
     out.info = &si;
-    out.pc = base_ + 4ull * slot;
-    out.vl = vl;
+    out.pc = v.pc;
+    out.vl = v.vl;
+    out.branch_taken = si.has(isa::kSiBranch | isa::kSiJump) && v.taken();
     out.mem_addr = 0;
     out.mem_bytes = 0;
     out.indirect_vreg = 0;
@@ -151,50 +251,25 @@ class TraceSource {
     out.marker_id = -1;
     out.ssr_ctl_mask = 0;
     if (si.has(isa::kSiGather)) {
-      for (unsigned i = 0; i < vl; ++i) gather_scratch_[i] = rs1 + offsets[i];
-      out.gather_count = vl;
-      out.mem_bytes = vl * 4;
-    } else if (si.has(isa::kSiScalarLoad | isa::kSiScalarStore)) {
-      out.mem_addr = rs1 + static_cast<std::int64_t>(in.imm);
-      out.mem_bytes = si.scalar_mem_bytes;
-    } else if (si.has(isa::kSiVectorLoad | isa::kSiVectorStore)) {
-      out.mem_addr = rs1;
-      out.mem_bytes = vl * 4;
+      for (std::uint32_t i = 0; i < v.vl; ++i) gather_scratch_[i] = v.gather_addr(i);
+      out.gather_count = v.vl;
+      out.mem_bytes = v.mem_bytes();
+    } else if (si.has(isa::kSiScalarLoad | isa::kSiScalarStore | isa::kSiVectorLoad |
+                      isa::kSiVectorStore)) {
+      out.mem_addr = v.mem_addr();
+      out.mem_bytes = v.mem_bytes();
     } else if (si.has(isa::kSiIndirectVreg)) {
-      if (si.has(isa::kSiPackedIndex)) {
-        out.indirect_vreg = static_cast<std::uint8_t>(16u | (rs1 & 0xf));
-        if (si.has(isa::kSiDualMac))
-          out.indirect_vreg2 = static_cast<std::uint8_t>(16u | ((rs1 >> 4) & 0xf));
-      } else {
-        out.indirect_vreg = static_cast<std::uint8_t>(rs1 & 0x1f);
-      }
+      out.indirect_vreg = v.indirect_vreg();
+      if (si.has(isa::kSiDualMac)) out.indirect_vreg2 = v.indirect_vreg2();
     } else if (si.has(isa::kSiSsrMac)) {
-      // Streaming MAC: resolve the stream word addresses and the indirect
-      // VRF source before the machine advances the stream positions. The
-      // machine itself raises on a disabled/empty stream when it executes.
-      const auto& streams = machine_.ssr();
-      out.ssr_value_addr = streams[0].base + 4ull * streams[0].pos;
-      out.ssr_index_addr = streams[1].base + 4ull * streams[1].pos;
-      if (streams[1].enabled && streams[1].count != 0)
-        out.indirect_vreg = static_cast<std::uint8_t>(
-            machine_.memory().read_u32(out.ssr_index_addr) & 0x1f);
+      out.ssr_value_addr = v.ssr.value_addr;
+      out.ssr_index_addr = v.ssr.index_addr;
+      out.indirect_vreg = v.indirect_vreg();
     } else if (si.has(isa::kSiSsrCtl)) {
-      out.ssr_ctl_mask = in.op == isa::Op::kSsrCfg ? static_cast<std::uint8_t>(1u << in.rd)
-                                                   : static_cast<std::uint8_t>(rs1 & 0xf);
+      out.ssr_ctl_mask = v.ssr_ctl_mask();
     } else if (si.has(isa::kSiMarker)) {
-      out.marker_id = in.imm;
+      out.marker_id = v.marker_id();
     }
-    return si;
-  }
-
-  /// Sets the outcome fields of `out` (whose static info is `si`) once its
-  /// unit has executed. Only a unit's last instruction can branch, jump or
-  /// halt, so the machine's pc is its successor and `stop` its stop reason.
-  void finish(DynInst& out, const isa::StaticInstInfo& si, StopReason stop) {
-    out.branch_taken =
-        si.has(isa::kSiBranch | isa::kSiJump) && machine_.state().pc != out.pc + 4;
-    out.is_halt = stop == StopReason::kEbreak || stop == StopReason::kEcall;
-    done_ = out.is_halt;
   }
 
   Machine& machine_;
@@ -204,13 +279,11 @@ class TraceSource {
   const isa::StaticInstInfo* info_;
   std::uint64_t base_;
   std::uint64_t code_bytes_;
+  OpRecord fallback_rec_;  ///< the values of the current fallback unit
+  SsrOperands ssr_;        ///< the stream words of the last streaming MAC unit
   std::array<std::uint64_t, isa::kVlMax> gather_scratch_{};
-  BlockTrace block_;           ///< the engine block being delivered
-  std::size_t slot_ = 0;       ///< its first slot
-  std::uint32_t pos_ = 0;      ///< next instruction of it to deliver
-  std::uint32_t count_ = 0;    ///< its length (0: no block pending)
-  StopReason stop_ = StopReason::kRunning;  ///< its last instruction's stop reason
-  bool done_ = false;
+  TraceUnit unit_;         ///< the unit next() is handing out
+  std::uint32_t pos_ = 0;  ///< next instruction of it to deliver
 };
 
 }  // namespace indexmac::timing

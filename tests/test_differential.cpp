@@ -7,12 +7,17 @@
 //    generated programs (loops, branches, memory, vector ops);
 //  * tracer consistency — the trace length matches retired instructions
 //    and records the same architectural effects.
+//  * timing-model golden — every TimingStats field and every marker event
+//    of a fixed program set is pinned in tests/golden/timing_stats.csv, so
+//    a model change that moves any counter (not just cycles) shows;
 //  * sampled-vs-exact tolerance matrix — the sampled estimator stays
 //    within its documented error bound across dataflows, unroll factors
 //    and (shrunk) transformer GEMM shapes, and rejects exactly the
 //    configurations it documents as unsupported.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <random>
 #include <set>
 #include <sstream>
@@ -595,6 +600,107 @@ TEST(EngineLockstep, TinySweepGoldenPointsMatchReference) {
     covered.insert(point.config.algorithm);
   }
   EXPECT_EQ(covered.size(), spec.algorithms.size());
+}
+
+
+// ---------------------------------------------------------------------------
+// Timing-model golden: every field the model produces. The sweep goldens pin
+// only cycles and data accesses, so a model rewrite that moved a stall
+// counter or a marker's commit cycle would pass them; this file pins all of
+// TimingStats and each marker event's (id, cycle, instructions, memory
+// counters) over the engine corner programs, every golden tiny-sweep point
+// under every registry algorithm (marker-instrumented too where the
+// algorithm supports sampling) and a few seeded random programs.
+
+std::string mem_csv(const MemStats& m) {
+  return std::to_string(m.scalar_reads) + "," + std::to_string(m.scalar_writes) + "," +
+         std::to_string(m.vector_reads) + "," + std::to_string(m.vector_writes) + "," +
+         std::to_string(m.ifetch_lines) + "," + std::to_string(m.dram_lines);
+}
+
+/// Times `program` over `mem` and renders its stats row and marker rows.
+std::string timing_rows(const std::string& name, const Program& program, MainMemory& mem) {
+  timing::TimingSim sim(program, mem, timing::ProcessorConfig{});
+  const timing::TimingStats& s = sim.run();
+  const timing::VectorDispatchStalls& st = s.dispatch_stalls;
+  std::string out = "stats," + name;
+  for (const std::uint64_t v :
+       {s.cycles, s.instructions, s.scalar_instructions, s.vector_instructions, s.vector_loads,
+        s.vector_stores, s.vector_macs, s.vector_to_scalar_moves, s.branch_mispredicts,
+        st.scalar_operand, st.branch_shadow, st.queue_full, st.bandwidth})
+    out += "," + std::to_string(v);
+  out += "," + mem_csv(s.mem) + "\n";
+  std::size_t i = 0;
+  for (const timing::MarkerEvent& e : sim.markers())
+    out += "marker," + name + "#" + std::to_string(i++) + "," + std::to_string(e.id) + "," +
+           std::to_string(e.cycle) + "," + std::to_string(e.instructions) + "," +
+           mem_csv(e.mem) + "\n";
+  return out;
+}
+
+std::string timing_golden_csv() {
+  std::string out =
+      "# timing model output per program (regenerate: run this test and copy the file it "
+      "names on a mismatch)\n"
+      "# stats,program,cycles,instructions,scalar_instructions,vector_instructions,"
+      "vector_loads,vector_stores,vector_macs,vector_to_scalar_moves,branch_mispredicts,"
+      "stall_scalar_operand,stall_branch_shadow,stall_queue_full,stall_bandwidth,"
+      "mem_scalar_reads,mem_scalar_writes,mem_vector_reads,mem_vector_writes,"
+      "mem_ifetch_lines,mem_dram_lines\n"
+      "# marker,program#index,id,cycle,instructions,mem_scalar_reads,mem_scalar_writes,"
+      "mem_vector_reads,mem_vector_writes,mem_ifetch_lines,mem_dram_lines\n";
+  const auto plain = [&](const std::string& name, const Program& program) {
+    MainMemory mem;
+    out += timing_rows(name, program, mem);
+  };
+  Assembler chain;
+  engine_programs::emit_chain_kernel(chain, 24);
+  plain("engine.chain_kernel", chain.finish());
+  plain("engine.slid_row_bail", engine_programs::slid_row_bail_program());
+  plain("engine.narrow_vl_chain", engine_programs::narrow_vl_chain_program());
+  plain("engine.chain_then_branch", engine_programs::chain_then_branch_program(9));
+  for (const std::uint32_t seed : {1u, 2u, 3u, 5u, 8u})
+    plain("random." + std::to_string(seed), random_program(seed));
+
+  core::SweepSpec spec =
+      core::parse_sweep_spec_file(std::string(INDEXMAC_GOLDEN_DIR) + "/tiny_sweep.json");
+  spec.algorithms.clear();
+  for (const core::AlgorithmDescriptor& d : core::AlgorithmRegistry::instance().all())
+    spec.algorithms.push_back(d.algorithm);
+  for (const core::SweepPoint& point : core::expand_sweep(spec)) {
+    const core::BatchJob job = core::point_job(spec, point);
+    const core::SpmmProblem problem = core::SpmmProblem::random(job.dims, job.sp, job.seed);
+    const core::AlgorithmDescriptor& desc =
+        core::AlgorithmRegistry::instance().by_algorithm(job.config.algorithm);
+    const std::string name = point.workload + "." + std::to_string(job.sp.n) + "of" +
+                             std::to_string(job.sp.m) + "." + desc.id + ".u" +
+                             std::to_string(job.config.kernel.unroll);
+    for (const bool markers : {false, true}) {
+      if (markers && !desc.supports_sampled) continue;
+      core::RunConfig config = job.config;
+      config.kernel.emit_markers = markers;
+      MainMemory mem;
+      const core::PreparedRun run = core::prepare(problem, config, mem);
+      out += timing_rows(name + (markers ? ".markers" : ""), run.program, mem);
+    }
+  }
+  return out;
+}
+
+TEST(TimingGolden, EveryStatsFieldAndMarkerEventMatchesGolden) {
+  const std::string path = std::string(INDEXMAC_GOLDEN_DIR) + "/timing_stats.csv";
+  std::ifstream file(path, std::ios::binary);
+  ASSERT_TRUE(file.good()) << "cannot open " << path;
+  const std::string expected((std::istreambuf_iterator<char>(file)),
+                             std::istreambuf_iterator<char>());
+  const std::string actual = timing_golden_csv();
+  if (actual != expected) {
+    const std::filesystem::path out =
+        std::filesystem::path(::testing::TempDir()) / "timing_stats.csv";
+    std::ofstream(out, std::ios::binary) << actual;
+    ADD_FAILURE() << "timing model output drifted from " << path << "; the new output is in "
+                  << out.string() << " (copy it over only for an intended model change)";
+  }
 }
 
 }  // namespace

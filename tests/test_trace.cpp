@@ -1,7 +1,8 @@
 // Regression coverage for the zero-allocation dynamic-instruction trace:
 //  * TraceSource must perform no heap allocation per retired instruction,
 //    gathers included (a counting global allocator verifies this over a
-//    gather-heavy kernel);
+//    gather-heavy kernel), and neither may the whole timed path
+//    (TimingSim::run: trace units, model and memory system);
 //  * the DynInst stream must be bit-identical to the independent oracle of
 //    trace_reference.h, which re-derives every field from the
 //    pre-instruction architectural state, on a mixed kernel;
@@ -20,6 +21,7 @@
 #include "fsim/threaded.h"
 #include "kernels/spmv_kernel.h"
 #include "sparse/nm_matrix.h"
+#include "timing/timing_sim.h"
 #include "timing/trace.h"
 #include "trace_reference.h"
 
@@ -107,6 +109,40 @@ TEST(TraceAllocation, NoHeapAllocationPerInstructionOnGatherKernel) {
   EXPECT_EQ(engine.stats().blocks_built, warm.blocks_built);
   EXPECT_GT(engine.stats().block_runs, warm.block_runs);
   EXPECT_EQ(engine.stats().fallback_steps, 0u);
+}
+
+TEST(TraceAllocation, TimedRunAllocationsDoNotGrowWithTheTrace) {
+  // TimingSim::run builds its machine, engine blocks and model once per
+  // run; nothing on the path that times an instruction may allocate. The
+  // marker-free SpMV kernel at two sizes — the same code, one retiring
+  // several times the instructions of the other — must therefore allocate
+  // equally often. An untimed functional run first materializes every page
+  // the kernel touches (first-touch page allocation is setup cost).
+  struct Timed {
+    std::uint64_t allocations = 0;
+    std::uint64_t instructions = 0;
+    std::size_t code = 0;
+  };
+  const auto timed = [](std::size_t rows, std::size_t k) {
+    MainMemory mem;
+    const Program program = build_spmv(mem, rows, k);
+    Machine warm(program, mem);
+    EXPECT_EQ(ThreadedEngine(warm).run(10'000'000), StopReason::kEbreak);
+    timing::TimingSim sim(program, mem, timing::ProcessorConfig{});
+    Timed out;
+    out.code = program.decoded().size();
+    const std::uint64_t before = g_allocations.load();
+    out.instructions = sim.run().instructions;
+    out.allocations = g_allocations.load() - before;
+    return out;
+  };
+  const Timed small = timed(8, 128);
+  const Timed large = timed(40, 128);
+  ASSERT_EQ(small.code, large.code);  // one kernel, so one set of blocks
+  EXPECT_GT(large.instructions, 4 * small.instructions);
+  EXPECT_EQ(large.allocations, small.allocations)
+      << small.instructions << " and " << large.instructions
+      << " timed instructions allocated differently";
 }
 
 TEST(TraceAllocation, GatherScratchPointerIsStable) {

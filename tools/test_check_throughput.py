@@ -150,7 +150,7 @@ class ModelCostGateTest(GateTestBase, unittest.TestCase):
 
     def test_pair_is_model_over_threaded_fsim(self):
         self.assertEqual(self.PAIR, ("vector_heavy", "fsim_vector_threaded"))
-        self.assertEqual(self.FLOOR, 0.12)
+        self.assertEqual(self.FLOOR, 0.15)
 
 
 class BlockTraceGateTest(GateTestBase, unittest.TestCase):
