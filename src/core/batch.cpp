@@ -1,11 +1,16 @@
 #include "core/batch.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
+#include <map>
+#include <numeric>
+#include <tuple>
 #include <utility>
 
 #include "common/error.h"
+#include "core/algorithm_registry.h"
 
 namespace indexmac::core {
 
@@ -30,13 +35,13 @@ BatchRunner::~BatchRunner() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-unsigned BatchRunner::parse_thread_count(const std::string& text) {
+unsigned BatchRunner::parse_thread_count(const std::string& text, std::string_view name) {
   char* end = nullptr;
   errno = 0;
   const long parsed = std::strtol(text.c_str(), &end, 10);
   const bool parsed_fully = end != text.c_str() && *end == '\0' && errno == 0;
   IMAC_CHECK(parsed_fully && parsed >= 1 && parsed <= static_cast<long>(kMaxThreads),
-             "thread count must be an integer in [1, " + std::to_string(kMaxThreads) +
+             std::string(name) + " must be an integer in [1, " + std::to_string(kMaxThreads) +
                  "], got \"" + text + "\"");
   return static_cast<unsigned>(parsed);
 }
@@ -48,19 +53,11 @@ void BatchRunner::set_thread_override(unsigned threads) {
 unsigned BatchRunner::default_thread_count() {
   if (const unsigned override = g_thread_override.load(std::memory_order_relaxed); override != 0)
     return override;
-  if (const char* env = std::getenv("INDEXMAC_THREADS")) {
-    // Reject malformed values loudly: a silently-ignored typo would run a
-    // benchmark at an unintended width and corrupt every wall-clock
-    // comparison made with it.
-    char* end = nullptr;
-    errno = 0;
-    const long parsed = std::strtol(env, &end, 10);
-    const bool parsed_fully = end != env && *end == '\0' && errno == 0;
-    IMAC_CHECK(parsed_fully && parsed >= 1 && parsed <= static_cast<long>(kMaxThreads),
-               "INDEXMAC_THREADS must be an integer in [1, " + std::to_string(kMaxThreads) +
-                   "], got \"" + env + "\"");
-    return static_cast<unsigned>(parsed);
-  }
+  // A malformed value throws: a silently-ignored typo would run a
+  // benchmark at an unintended width and corrupt every wall-clock
+  // comparison made with it.
+  if (const char* env = std::getenv("INDEXMAC_THREADS"))
+    return parse_thread_count(env, "INDEXMAC_THREADS");
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }
@@ -114,6 +111,73 @@ BatchJob exact_job(const kernels::GemmDims& dims, sparse::Sparsity sp, std::uint
   return job;
 }
 
+namespace {
+
+/// The problem a job simulates: its own dims and seed when exact,
+/// run_sampled's miniature when sampled.
+struct Simulated {
+  kernels::GemmDims dims;
+  std::uint32_t seed = 1;
+};
+
+Simulated simulated(const BatchJob& job) {
+  if (job.mode == BatchJob::Mode::kExact) return {job.dims, job.seed};
+  // An unroll of 0 fails inside the job itself; estimating must not throw.
+  return {sample_dims(job.dims, std::max(1u, job.config.kernel.unroll), job.sample), kSampleSeed};
+}
+
+/// Longest-processing-time-first over operand groups. Jobs that share an
+/// SpmmProblem::shared key form one group and are dispatched back to back,
+/// so siblings overlap and generate their operands once. Groups go in
+/// descending order of their largest job, jobs within a group in
+/// descending estimate; ties keep the caller's order. The order depends on
+/// the jobs alone, never on the pool width.
+std::vector<std::size_t> dispatch_order(const std::vector<BatchJob>& jobs) {
+  using OperandKey = std::tuple<std::size_t, std::size_t, std::size_t, unsigned, unsigned,
+                                std::uint32_t>;
+  struct Rank {
+    std::uint64_t macs = 0;
+    std::size_t group = 0;  ///< index of the group's first job
+    std::uint64_t group_macs = 0;
+  };
+  std::vector<Rank> ranks(jobs.size());
+  std::map<OperandKey, std::size_t> group_of;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const BatchJob& job = jobs[i];
+    const Simulated sim = simulated(job);
+    ranks[i].macs = estimated_macs(job);
+    const OperandKey key{sim.dims.rows_a, sim.dims.k, sim.dims.cols_b, job.sp.n, job.sp.m,
+                         sim.seed};
+    ranks[i].group = group_of.try_emplace(key, i).first->second;
+    Rank& lead = ranks[ranks[i].group];
+    lead.group_macs = std::max(lead.group_macs, ranks[i].macs);
+  }
+  for (Rank& r : ranks) r.group_macs = ranks[r.group].group_macs;
+
+  std::vector<std::size_t> order(jobs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const Rank& x = ranks[a];
+    const Rank& y = ranks[b];
+    if (x.group_macs != y.group_macs) return x.group_macs > y.group_macs;
+    if (x.group != y.group) return x.group < y.group;
+    if (x.macs != y.macs) return x.macs > y.macs;
+    return a < b;
+  });
+  return order;
+}
+
+}  // namespace
+
+std::uint64_t estimated_macs(const BatchJob& job) {
+  const kernels::GemmDims dims = simulated(job).dims;
+  const std::uint64_t dense = std::uint64_t{dims.rows_a} * dims.k * dims.cols_b;
+  if (AlgorithmRegistry::instance().by_algorithm(job.config.algorithm).dense_operands ||
+      job.sp.m == 0)
+    return dense;
+  return dense * job.sp.n / job.sp.m;
+}
+
 BatchResult run_job(const BatchJob& job) {
   BatchResult out;
   switch (job.mode) {
@@ -143,16 +207,16 @@ std::vector<BatchResult> run_batch(
     BatchRunner& runner, const std::vector<BatchJob>& jobs,
     const std::function<void(std::size_t, const BatchResult&)>& on_result,
     const std::atomic<bool>* cancel) {
-  std::vector<std::future<BatchResult>> futures;
-  futures.reserve(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
+  // Dispatched largest-first, but futures[i] stays keyed to jobs[i].
+  std::vector<std::future<BatchResult>> futures(jobs.size());
+  for (const std::size_t i : dispatch_order(jobs)) {
     // on_result runs on the worker, immediately after its job: journaling
     // must not be head-of-line blocked behind the collection loop, or a
-    // kill while job 0 (say, one huge GEMM) simulates would lose every
-    // smaller job that already finished. `on_result` and its targets
-    // outlive the blocking collection loop below by construction.
+    // kill while a low-index job (say, one huge GEMM) simulates would lose
+    // every job that already finished. `on_result` and its targets outlive
+    // the blocking collection loop below by construction.
     const BatchJob& job = jobs[i];
-    futures.push_back(runner.submit([job, i, &on_result, cancel] {
+    futures[i] = runner.submit([job, i, &on_result, cancel] {
       // The cancel check lives on the worker, not the submit loop: a
       // signal that lands mid-batch skips everything still queued while
       // jobs already executing finish and journal normally.
@@ -161,11 +225,11 @@ std::vector<BatchResult> run_batch(
       BatchResult result = run_job(job);
       if (on_result) on_result(i, result);
       return result;
-    }));
+    });
   }
 
   std::vector<BatchResult> results(jobs.size());
-  std::exception_ptr first_error;
+  std::exception_ptr first_error;  // of the lowest-index failed job
   bool cancelled = false;
   for (std::size_t i = 0; i < futures.size(); ++i) {
     try {

@@ -7,11 +7,13 @@
 // flag, only selects the default pool width, never what a job computes.)
 // BatchRunner is a fixed-size thread pool; run_batch() executes a vector
 // of BatchJob descriptions on it and returns per-job cycle and
-// memory-access stats in submission order, bit-identical to running the
-// same jobs serially. Each job derives its operands from its own
-// (dims, sparsity, seed) through SpmmProblem::shared, so jobs running at
-// the same time with one key read one immutable operand set whose bytes
-// depend only on that key.
+// memory-access stats in the caller's order, bit-identical to running the
+// same jobs serially. Work is dispatched largest-first (estimated_macs), so
+// the longest simulations do not start last and leave workers idle. Each
+// job derives its operands from its own (dims, sparsity, seed) through
+// SpmmProblem::shared, so jobs running at the same time with one key read
+// one immutable operand set whose bytes depend only on that key; jobs
+// sharing a key are dispatched back to back so that they overlap.
 //
 //   BatchRunner pool;  // one worker per hardware thread
 //   std::vector<BatchJob> jobs = {...};
@@ -27,6 +29,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -76,10 +79,11 @@ class BatchRunner {
   /// rather than silently clamping.
   [[nodiscard]] static unsigned default_thread_count();
 
-  /// Parses a user-supplied thread count (the --threads CLI flag) with the
-  /// same strictness as INDEXMAC_THREADS: the whole string must be an
-  /// integer in [1, kMaxThreads], anything else throws SimError.
-  [[nodiscard]] static unsigned parse_thread_count(const std::string& text);
+  /// Parses a user-supplied thread count (the --threads CLI flag, and
+  /// INDEXMAC_THREADS): the whole string must be an integer in
+  /// [1, kMaxThreads], anything else throws a SimError naming `name`.
+  [[nodiscard]] static unsigned parse_thread_count(const std::string& text,
+                                                   std::string_view name = "thread count");
 
   /// Process-wide default-width override; takes precedence over
   /// INDEXMAC_THREADS in default_thread_count() (the CLI flag wins over
@@ -149,9 +153,17 @@ struct BatchResult {
 /// Executes one job synchronously on the calling thread.
 [[nodiscard]] BatchResult run_job(const BatchJob& job);
 
-/// Runs all jobs on the pool. results[i] corresponds to jobs[i] regardless
-/// of completion order or thread count. If jobs threw, the first failure
-/// (in submission order) is rethrown after every job has finished.
+/// The work run_batch ranks a job by: the MACs of the GEMM it simulates,
+/// rows_a x k x cols_b, times n/m for sparse operands. An exact job
+/// simulates its full dims, a sampled job the miniature of sample_dims.
+[[nodiscard]] std::uint64_t estimated_macs(const BatchJob& job);
+
+/// Runs all jobs on the pool. Jobs are dispatched in descending
+/// estimated_macs, with jobs that share an SpmmProblem::shared key kept
+/// together and ties in the caller's order; results[i] corresponds to
+/// jobs[i] regardless of dispatch order, completion order or thread count.
+/// If jobs threw, the failure of the lowest-index one is rethrown after
+/// every job has finished.
 [[nodiscard]] std::vector<BatchResult> run_batch(BatchRunner& runner,
                                                  const std::vector<BatchJob>& jobs);
 
@@ -160,8 +172,8 @@ struct BatchResult {
 /// the callback must be thread-safe. This is the crash-safety hook: the
 /// sweep engine journals every completed measurement through it, and
 /// because it fires at completion (not at collection), a killed process
-/// keeps every job that finished, even while an earlier-submitted job is
-/// still running. `on_result` is never called for a job that threw; an
+/// keeps every job that finished, even while a larger job is still
+/// running. `on_result` is never called for a job that threw; an
 /// exception thrown *by* the callback fails that job like a job error.
 ///
 /// `cancel` (optional) is the graceful-interrupt hook: each job checks it

@@ -126,6 +126,21 @@ std::uint64_t analytic_accesses(const kernels::GemmDims& dims, sparse::Sparsity 
 
 }  // namespace
 
+kernels::GemmDims sample_dims(const kernels::GemmDims& dims, unsigned unroll,
+                              const SampleParams& params) {
+  IMAC_CHECK(unroll >= 1, "sampled runs need an unroll factor of at least 1");
+  // Rows are a multiple of the unroll factor, so the marker stream is
+  // regular; k stays whole, so cache behaviour along k is real.
+  const std::size_t full_strips = dims.cols_b / isa::kVlMax;
+  const std::size_t sample_full =
+      std::min<std::size_t>(full_strips, std::max(1u, params.sample_full_strips));
+  kernels::GemmDims out = dims;
+  out.rows_a = std::min<std::size_t>(round_up(dims.rows_a, unroll),
+                                     round_up(std::max(params.sample_rows, unroll), unroll));
+  out.cols_b = sample_full * isa::kVlMax + dims.cols_b % isa::kVlMax;
+  return out;
+}
+
 SampledResult run_sampled(const kernels::GemmDims& dims, sparse::Sparsity sp,
                           const RunConfig& config, const timing::ProcessorConfig& processor,
                           const SampleParams& params) {
@@ -135,21 +150,10 @@ SampledResult run_sampled(const kernels::GemmDims& dims, sparse::Sparsity sp,
              "run_sampled supports the sparse kernels only");
 
   const unsigned unroll = config.kernel.unroll;
-  // Miniature dims: reduced rows (multiple of the unroll factor, so the
-  // marker stream is regular) and reduced full strips; full k depth.
   const std::size_t full_strips = dims.cols_b / isa::kVlMax;
   const unsigned tail = static_cast<unsigned>(dims.cols_b % isa::kVlMax);
-  const std::size_t sample_full =
-      std::min<std::size_t>(full_strips, std::max(1u, params.sample_full_strips));
-  const std::size_t rows_r = std::min<std::size_t>(
-      round_up(dims.rows_a, unroll), round_up(std::max(params.sample_rows, unroll), unroll));
-  kernels::GemmDims sample_dims = dims;
-  sample_dims.rows_a = rows_r;
-  sample_dims.cols_b = (full_strips == 0 ? 0 : sample_full * isa::kVlMax) + tail;
-
-  // With rows_a >= 16, sample_dims is the same for every kernel and unroll
-  // 1/2/4, so the points of one layer x sparsity running together share it.
-  const auto problem = SpmmProblem::shared(sample_dims, sp, /*seed=*/12345);
+  const kernels::GemmDims mini = sample_dims(dims, unroll, params);
+  const auto problem = SpmmProblem::shared(mini, sp, kSampleSeed);
   RunConfig sample_config = config;
   sample_config.kernel.emit_markers = true;
 
@@ -159,10 +163,9 @@ SampledResult run_sampled(const kernels::GemmDims& dims, sparse::Sparsity sp,
   SampledResult out;
   out.sample_stats = sim.run(params.max_instructions);
 
-  const std::size_t groups = rows_r / unroll;
-  const PhaseCosts costs =
-      decompose(sim.markers(), full_strips > 0 ? sample_full : 0, tail != 0 ? 1 : 0,
-                run.layout.num_ktiles, groups);
+  const std::size_t groups = mini.rows_a / unroll;
+  const PhaseCosts costs = decompose(sim.markers(), mini.cols_b / isa::kVlMax, tail != 0 ? 1 : 0,
+                                     run.layout.num_ktiles, groups);
 
   // Extrapolate: per strip type, each k-tile pays its preload/loop overhead
   // plus the measured first-group cost once and the steady per-group cost

@@ -40,6 +40,17 @@ struct SampleParams {
   std::uint64_t max_instructions = 500'000'000;
 };
 
+/// Operand seed of every sampled miniature.
+inline constexpr std::uint32_t kSampleSeed = 12345;
+
+/// The miniature run_sampled simulates for `dims` at unroll factor
+/// `unroll`: rows_a reduced to max(sample_rows, unroll) rounded up to the
+/// unroll (never past rows_a rounded up), at most sample_full_strips full
+/// column strips plus the column tail, full k depth. With rows_a >= 16 it
+/// is the same for unroll 1/2/4, so those points share one operand set.
+[[nodiscard]] kernels::GemmDims sample_dims(const kernels::GemmDims& dims, unsigned unroll,
+                                            const SampleParams& params);
+
 /// Extrapolated measurement for a full problem.
 struct SampledResult {
   double cycles = 0;                 ///< estimated total execution cycles
@@ -50,8 +61,8 @@ struct SampledResult {
 };
 
 /// Estimates cycles for (dims, sp, config) from a miniature instrumented
-/// run. The miniature operands are SpmmProblem::shared(miniature dims, sp,
-/// 12345), shared by every point with the same miniature shape and
+/// run. The miniature operands are SpmmProblem::shared(sample_dims(...),
+/// sp, kSampleSeed), shared by every point with the same miniature shape and
 /// sparsity while they run. Only B-stationary kernels (both algorithms)
 /// are supported; the dataflow ablations use run_exact on smaller layers.
 [[nodiscard]] SampledResult run_sampled(const kernels::GemmDims& dims, sparse::Sparsity sp,

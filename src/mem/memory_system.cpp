@@ -46,11 +46,9 @@ void InflightFills::clear() {
 
 MemorySystem::MemorySystem(const MemHierConfig& config)
     : config_(config),
-      l1i_(config.l1i),
       l1d_(config.l1d),
       l2_(config.l2),
       l2_line_shift_(log2_exact(config.l2.line_bytes)),
-      l1i_line_shift_(log2_exact(config.l1i.line_bytes)),
       l2_bank_mask_(config.l2_banks - 1),
       l2_bank_free_(config.l2_banks, 0) {
   IMAC_CHECK(is_pow2(config.l2_banks), "L2 bank count must be a power of two");
@@ -123,20 +121,9 @@ std::uint64_t MemorySystem::vector_data(std::uint64_t addr, unsigned bytes, bool
                    [&](std::uint64_t line_addr) { return l2_line(line_addr, is_store, cycle); });
 }
 
-std::uint64_t MemorySystem::ifetch(std::uint64_t addr, std::uint64_t cycle) {
-  ++stats_.ifetch_lines;
-  const std::uint64_t line_addr = addr >> l1i_line_shift_ << l1i_line_shift_;
-  const CacheLineResult r = l1i_.access(line_addr, /*is_store=*/false);
-  const std::uint64_t tag_done = cycle + config_.l1i.hit_latency;
-  if (r.hit) return tag_done;
-  return l2_line(line_addr, /*is_store=*/false, tag_done);
-}
-
 void MemorySystem::reset() {
-  l1i_.invalidate_all();
   l1d_.invalidate_all();
   l2_.invalidate_all();
-  l1i_.reset_stats();
   l1d_.reset_stats();
   l2_.reset_stats();
   std::fill(l2_bank_free_.begin(), l2_bank_free_.end(), 0);

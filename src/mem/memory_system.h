@@ -1,5 +1,6 @@
 // The timing-side memory hierarchy of Table I:
-//   * L1I  64 KB 4-way, 1-cycle hit (scalar fetch)
+//   * L1I  64 KB 4-way, 1-cycle hit: configured and printed, not modelled
+//     (instruction fetch does not access a cache)
 //   * L1D  64 KB 4-way, 2-cycle hit (scalar data)
 //   * L2  512 KB 8-way, 8 banks, 8-cycle hit, shared; the vector engine's
 //     load/store queues access the L2 directly (no L1 on the vector path)
@@ -20,6 +21,8 @@ namespace indexmac {
 
 /// Configuration of the whole hierarchy (defaults reproduce Table I).
 struct MemHierConfig {
+  /// Not modelled: instruction fetch does not access the L1I. Kept for
+  /// Table I, cache keys and spec hashes.
   CacheConfig l1i{.size_bytes = 64 * 1024, .ways = 4, .line_bytes = 64, .hit_latency = 1};
   CacheConfig l1d{.size_bytes = 64 * 1024, .ways = 4, .line_bytes = 64, .hit_latency = 2};
   CacheConfig l2{.size_bytes = 512 * 1024, .ways = 8, .line_bytes = 64, .hit_latency = 8};
@@ -35,7 +38,7 @@ struct MemStats {
   std::uint64_t scalar_writes = 0;
   std::uint64_t vector_reads = 0;
   std::uint64_t vector_writes = 0;
-  std::uint64_t ifetch_lines = 0;
+  std::uint64_t ifetch_lines = 0;  ///< not modelled: always 0
   std::uint64_t dram_lines = 0;  ///< lines transferred to/from DRAM
 
   /// Total data-side memory accesses (the paper's Fig. 6 counts memory
@@ -112,9 +115,6 @@ class MemorySystem {
   std::uint64_t vector_data(std::uint64_t addr, unsigned bytes, bool is_store,
                             std::uint64_t cycle);
 
-  /// Instruction fetch of the line containing `addr`.
-  std::uint64_t ifetch(std::uint64_t addr, std::uint64_t cycle);
-
   [[nodiscard]] const MemStats& stats() const { return stats_; }
   [[nodiscard]] const Cache& l1d() const { return l1d_; }
   [[nodiscard]] const Cache& l2() const { return l2_; }
@@ -134,11 +134,9 @@ class MemorySystem {
   std::uint64_t for_lines(std::uint64_t addr, unsigned bytes, Fn&& fn);
 
   MemHierConfig config_;
-  Cache l1i_;
   Cache l1d_;
   Cache l2_;
   unsigned l2_line_shift_ = 0;  ///< log2(l2.line_bytes): bank/line math without divisions
-  unsigned l1i_line_shift_ = 0;
   std::uint64_t l2_bank_mask_ = 0;  ///< l2_banks - 1 (a power of two)
   std::vector<std::uint64_t> l2_bank_free_;
   std::uint64_t dram_channel_free_ = 0;

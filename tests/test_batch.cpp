@@ -1,15 +1,18 @@
 // BatchRunner: parallel sweeps must be indistinguishable from serial runs —
-// identical per-job stats, submission-order results at any thread count,
-// and robust to jobs that throw.
+// identical per-job stats, results in the caller's order at any thread
+// count whatever the dispatch order, and robust to jobs that throw.
 #include "core/batch.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <barrier>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/error.h"
@@ -195,6 +198,183 @@ TEST(BatchRunner, ThreadOverrideWinsOverEnvironment) {
   EXPECT_EQ(BatchRunner::default_thread_count(), 5u);
   BatchRunner::set_thread_override(0);
   ASSERT_EQ(unsetenv("INDEXMAC_THREADS"), 0);
+}
+
+// Dispatch order: run_batch starts the largest simulations first and keeps
+// jobs that share an operand set together. On a one-worker pool a job's
+// on_result fires before the next job starts, so the callback order is
+// the start order.
+
+/// Runs `jobs` on one worker and returns the caller indices in start order.
+std::vector<std::size_t> start_order(const std::vector<BatchJob>& jobs) {
+  BatchRunner pool(1);
+  std::vector<std::size_t> order;
+  (void)core::run_batch(pool, jobs, [&](std::size_t i, const BatchResult&) { order.push_back(i); });
+  return order;
+}
+
+/// SpmmProblem::shared's key for the operands a job runs on.
+std::tuple<std::size_t, std::size_t, std::size_t, unsigned, unsigned, std::uint32_t> operand_key(
+    const BatchJob& job) {
+  const bool exact = job.mode == BatchJob::Mode::kExact;
+  const kernels::GemmDims d =
+      exact ? job.dims : core::sample_dims(job.dims, job.config.kernel.unroll, job.sample);
+  return {d.rows_a, d.k, d.cols_b, job.sp.n, job.sp.m, exact ? job.seed : core::kSampleSeed};
+}
+
+TEST(BatchDispatch, OneWorkerStartsJobsInNonIncreasingEstimateOrder) {
+  const timing::ProcessorConfig proc{};
+  const RunConfig proposed{.algorithm = Algorithm::kIndexmac, .kernel = {.unroll = 4}};
+  const RunConfig dense{.algorithm = Algorithm::kDenseRowwise, .kernel = {.unroll = 1}};
+  // Smallest first in the caller's order, every job on its own operands.
+  const std::vector<BatchJob> jobs = {
+      core::exact_job({16, 32, 16}, sparse::kSparsity14, 1, proposed, proc),
+      core::exact_job({16, 32, 16}, sparse::kSparsity24, 2, proposed, proc),
+      core::exact_job({16, 32, 16}, sparse::kSparsity14, 3, dense, proc),
+      core::sampled_job({64, 96, 200}, sparse::kSparsity14, proposed, proc),
+      core::exact_job({32, 64, 48}, sparse::kSparsity24, 4, proposed, proc),
+  };
+  EXPECT_EQ(core::estimated_macs(jobs[0]), 16u * 32 * 16 / 4);
+  EXPECT_EQ(core::estimated_macs(jobs[2]), 16u * 32 * 16);  // dense operands: no n/m
+  EXPECT_EQ(core::estimated_macs(jobs[3]), 16u * 96 * 56 / 4);  // the 16 x 96 x 56 miniature
+
+  const std::vector<std::size_t> order = start_order(jobs);
+  ASSERT_EQ(order.size(), jobs.size());
+  EXPECT_EQ(order, (std::vector<std::size_t>{4, 3, 2, 1, 0}));
+  for (std::size_t j = 1; j < order.size(); ++j)
+    EXPECT_GE(core::estimated_macs(jobs[order[j - 1]]), core::estimated_macs(jobs[order[j]]));
+}
+
+TEST(BatchDispatch, JobsSharingOperandsStartConsecutively) {
+  const timing::ProcessorConfig proc{};
+  std::vector<BatchJob> jobs;
+  // Interleave three exact operand sets and the sampled miniatures of two
+  // layers: with rows_a >= 16 unroll 1/2/4 share one miniature, with
+  // rows_a = 6 unroll 4 rounds the rows up to 8 and gets its own.
+  for (const unsigned unroll : {1u, 2u, 4u}) {
+    const RunConfig rowwise{.algorithm = Algorithm::kRowwiseSpmm, .kernel = {.unroll = unroll}};
+    const RunConfig proposed{.algorithm = Algorithm::kIndexmac, .kernel = {.unroll = unroll}};
+    for (const std::uint32_t seed : {7u, 8u, 9u})
+      jobs.push_back(core::exact_job({16, 32, 16}, sparse::kSparsity24, seed, proposed, proc));
+    jobs.push_back(core::sampled_job({64, 64, 40}, sparse::kSparsity14, rowwise, proc));
+    jobs.push_back(core::sampled_job({6, 64, 40}, sparse::kSparsity14, proposed, proc));
+  }
+
+  const std::vector<std::size_t> order = start_order(jobs);
+  ASSERT_EQ(order.size(), jobs.size());
+  std::map<decltype(operand_key(jobs[0])), std::vector<std::size_t>> positions;
+  for (std::size_t pos = 0; pos < order.size(); ++pos)
+    positions[operand_key(jobs[order[pos]])].push_back(pos);
+  EXPECT_EQ(positions.size(), 6u);  // three seeds, two miniatures of layer 6 x 64 x 40, one of 64
+  for (const auto& [key, at] : positions)
+    EXPECT_EQ(at.back() - at.front() + 1, at.size()) << "a group was split";
+}
+
+TEST(BatchDispatch, ResultsAndCallbacksStayKeyedToTheCallersIndex) {
+  // mixed_sweep is not in estimate order, so dispatch reorders it.
+  const std::vector<BatchJob> jobs = mixed_sweep();
+  std::vector<BatchResult> serial;
+  for (const BatchJob& job : jobs) serial.push_back(core::run_job(job));
+
+  std::mutex mutex;
+  std::vector<BatchResult> journaled(jobs.size());
+  std::vector<int> calls(jobs.size(), 0);
+  BatchRunner pool(3);
+  const auto results = core::run_batch(pool, jobs, [&](std::size_t i, const BatchResult& r) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    journaled[i] = r;
+    ++calls[i];
+  });
+  ASSERT_EQ(results.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    SCOPED_TRACE("job " + std::to_string(i));
+    EXPECT_EQ(calls[i], 1);
+    expect_same_stats(results[i], serial[i]);
+    expect_same_stats(journaled[i], serial[i]);
+  }
+}
+
+TEST(BatchDispatch, EarlyThrowingJobFailsAloneAndTheLowestIndexErrorWins) {
+  const timing::ProcessorConfig proc{};
+  const RunConfig proposed{.algorithm = Algorithm::kIndexmac, .kernel = {.unroll = 4}};
+  const RunConfig bad_unroll{.algorithm = Algorithm::kIndexmac, .kernel = {.unroll = 5}};
+  RunConfig a_stationary = proposed;
+  a_stationary.kernel.dataflow = kernels::Dataflow::kAStationary;
+  std::vector<BatchJob> jobs = {
+      core::exact_job({16, 32, 16}, sparse::kSparsity14, 1, proposed, proc),
+      // Index 1 sorts last; index 3 is the largest job, so it starts first.
+      core::exact_job({16, 16, 16}, sparse::kSparsity14, 2, bad_unroll, proc),
+      core::exact_job({16, 48, 16}, sparse::kSparsity14, 3, proposed, proc),
+      core::sampled_job({256, 256, 256}, sparse::kSparsity24, a_stationary, proc),
+  };
+
+  // Alone, the early job's error reaches the caller and every other job
+  // still runs and journals.
+  std::vector<BatchJob> one_bad = jobs;
+  one_bad.erase(one_bad.begin() + 1);
+  std::vector<std::size_t> journaled;
+  BatchRunner pool(1);
+  try {
+    (void)core::run_batch(pool, one_bad,
+                          [&](std::size_t i, const BatchResult&) { journaled.push_back(i); });
+    ADD_FAILURE() << "the a-stationary sampled job must throw";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("B-stationary"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(journaled, (std::vector<std::size_t>{1, 0}));
+
+  // With two failures the lowest index wins, although it ran last.
+  try {
+    (void)core::run_batch(pool, jobs);
+    ADD_FAILURE() << "the batch must throw";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("unroll"), std::string::npos) << e.what();
+  }
+}
+
+TEST(BatchDispatch, SampleDimsIsTheMiniatureRunSampledSimulates) {
+  const core::SampleParams params{};  // 16 rows, 3 full strips
+  struct Case {
+    kernels::GemmDims dims;
+    unsigned unroll;
+    kernels::GemmDims want;
+  };
+  const Case cases[] = {
+      // rows_a < 16: the full rows, rounded up to the unroll
+      {{6, 64, 40}, 1, {6, 64, 40}},
+      {{6, 64, 40}, 2, {6, 64, 40}},
+      {{6, 64, 40}, 4, {8, 64, 40}},
+      // rows_a >= 16: 16 rows at every unroll; 3 full strips plus the tail
+      {{100, 64, 200}, 1, {16, 64, 56}},
+      {{100, 64, 200}, 2, {16, 64, 56}},
+      {{100, 64, 200}, 4, {16, 64, 56}},
+      // fewer full strips than the sample keeps, and a tail alone
+      {{32, 64, 49}, 4, {16, 64, 49}},
+      {{32, 64, 10}, 2, {16, 64, 10}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::to_string(c.dims.rows_a) + "x" + std::to_string(c.dims.cols_b) + " u" +
+                 std::to_string(c.unroll));
+    const kernels::GemmDims got = core::sample_dims(c.dims, c.unroll, params);
+    EXPECT_EQ(got.rows_a, c.want.rows_a);
+    EXPECT_EQ(got.k, c.want.k);
+    EXPECT_EQ(got.cols_b, c.want.cols_b);
+  }
+  EXPECT_EQ(core::sample_dims({6, 64, 40}, 4, {.sample_rows = 2}).rows_a, 4u);
+  EXPECT_THROW((void)core::sample_dims({6, 64, 40}, 0, params), SimError);
+
+  // run_sampled's miniature run is an exact run of exactly these dims.
+  const timing::ProcessorConfig proc{};
+  const RunConfig proposed{.algorithm = Algorithm::kIndexmac, .kernel = {.unroll = 2}};
+  const kernels::GemmDims dims{6, 64, 40};
+  RunConfig marked = proposed;
+  marked.kernel.emit_markers = true;
+  const auto mini = core::SpmmProblem::shared(core::sample_dims(dims, 2, params),
+                                              sparse::kSparsity14, core::kSampleSeed);
+  const auto sampled = core::run_sampled(dims, sparse::kSparsity14, proposed, proc, params);
+  EXPECT_EQ(sampled.sample_stats.cycles, core::run_exact(*mini, marked, proc).stats.cycles);
+  EXPECT_EQ(sampled.sample_stats.instructions,
+            core::run_exact(*mini, marked, proc).stats.instructions);
 }
 
 // SpmmProblem::shared interns live operand sets: the pool's workers read

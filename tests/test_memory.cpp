@@ -235,14 +235,6 @@ TEST(MemorySystem, ResetClearsEverything) {
   EXPECT_GE(done, 100u);  // cold again
 }
 
-TEST(MemorySystem, IfetchUsesL1I) {
-  MemorySystem ms(test_hier());
-  (void)ms.ifetch(0x1000, 0);
-  const std::uint64_t done = ms.ifetch(0x1000, 50);
-  EXPECT_EQ(done, 50 + 1);  // 1-cycle L1I hit (Table I)
-  EXPECT_EQ(ms.stats().ifetch_lines, 2u);
-}
-
 TEST(MemorySystem, DramChannelOccupancySerializesStreams) {
   MemorySystem ms(test_hier());
   // Two cold misses to different banks still share the DRAM channel.

@@ -46,7 +46,7 @@ TEST(SweepGolden, TinySweepReproducesCheckedInCsvByteForByte) {
 
   // Points sharing operands share one live SpmmProblem; whether siblings
   // overlap depends on the pool width, and the bytes must not.
-  for (const unsigned threads : {1u, 2u, 4u}) {
+  for (const unsigned threads : {1u, 2u, 3u, 4u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const SweepReport report = run_sweep(spec, threads);
     const std::string actual = report_to_csv(report);
