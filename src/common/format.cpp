@@ -1,6 +1,8 @@
 #include "common/format.h"
 
 #include <charconv>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <system_error>
 
@@ -86,6 +88,27 @@ std::uint64_t parse_uint(const std::string& text, const char* what, std::uint64_
                           : std::string()) +
                      ", got \"" + text + "\"");
   return value;
+}
+
+std::string read_text_file(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) raise("cannot open " + path);
+  std::ostringstream text;
+  text << file.rdbuf();
+  return text.str();
+}
+
+void write_text_file(const std::string& path, const std::string& text) {
+  if (path.empty()) {
+    if (std::fwrite(text.data(), 1, text.size(), stdout) != text.size() || std::fflush(stdout) != 0)
+      raise("write to stdout failed");
+    return;
+  }
+  std::ofstream file(path, std::ios::binary);
+  if (!file) raise("cannot write " + path);
+  file << text;
+  file.close();
+  if (!file) raise("write to " + path + " failed");
 }
 
 std::string fmt_speedup(double v) { return fmt_fixed(v, 2) + "x"; }

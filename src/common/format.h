@@ -51,6 +51,16 @@ class TextTable {
     const std::string& text, const char* what,
     std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
+/// The whole content of the file at `path`, read in binary mode. Throws
+/// SimError "cannot open PATH" when it cannot be opened.
+[[nodiscard]] std::string read_text_file(const std::string& path);
+
+/// Writes `text` to the file at `path` in binary mode, so report bytes are
+/// exact, or to stdout when `path` is empty. Throws SimError when the file
+/// cannot be opened or the write comes up short (a full disk, a closed
+/// pipe): a truncated report must never pass for a complete one.
+void write_text_file(const std::string& path, const std::string& text);
+
 /// Formats "1.95x"-style speedup cells.
 [[nodiscard]] std::string fmt_speedup(double v);
 

@@ -40,9 +40,9 @@ unsigned BatchRunner::parse_thread_count(const std::string& text, std::string_vi
   errno = 0;
   const long parsed = std::strtol(text.c_str(), &end, 10);
   const bool parsed_fully = end != text.c_str() && *end == '\0' && errno == 0;
-  IMAC_CHECK(parsed_fully && parsed >= 1 && parsed <= static_cast<long>(kMaxThreads),
-             std::string(name) + " must be an integer in [1, " + std::to_string(kMaxThreads) +
-                 "], got \"" + text + "\"");
+  if (!parsed_fully || parsed < 1 || parsed > static_cast<long>(kMaxThreads))
+    throw UsageError(std::string(name) + " must be an integer in [1, " +
+                     std::to_string(kMaxThreads) + "], got \"" + text + "\"");
   return static_cast<unsigned>(parsed);
 }
 

@@ -75,13 +75,13 @@ class BatchRunner {
   /// variable if set (so benches can be pinned without a rebuild),
   /// otherwise std::thread::hardware_concurrency(), never less than 1.
   /// INDEXMAC_THREADS must parse fully as an integer in [1, kMaxThreads];
-  /// anything else (0, garbage, trailing junk, huge values) throws SimError
-  /// rather than silently clamping.
+  /// anything else (0, garbage, trailing junk, huge values) throws a
+  /// UsageError rather than silently clamping.
   [[nodiscard]] static unsigned default_thread_count();
 
   /// Parses a user-supplied thread count (the --threads CLI flag, and
   /// INDEXMAC_THREADS): the whole string must be an integer in
-  /// [1, kMaxThreads], anything else throws a SimError naming `name`.
+  /// [1, kMaxThreads], anything else throws a UsageError naming `name`.
   [[nodiscard]] static unsigned parse_thread_count(const std::string& text,
                                                    std::string_view name = "thread count");
 

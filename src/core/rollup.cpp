@@ -2,23 +2,14 @@
 
 #include <cstdio>
 
-#include "common/error.h"
 #include "common/format.h"
 #include "core/algorithm_registry.h"
 
 namespace indexmac::core {
 namespace {
 
+using kernels::dataflow_id;
 using workloads::sparsity_label;
-
-const char* dataflow_id(kernels::Dataflow d) {
-  switch (d) {
-    case kernels::Dataflow::kAStationary: return "a";
-    case kernels::Dataflow::kBStationary: return "b";
-    case kernels::Dataflow::kCStationary: return "c";
-  }
-  raise("unknown dataflow");
-}
 
 bool same_group(const RollupRow& g, const SweepPoint& p) {
   return g.suite == p.suite && g.sp.n == p.sp.n && g.sp.m == p.sp.m &&

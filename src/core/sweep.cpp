@@ -1,8 +1,6 @@
 #include "core/sweep.h"
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <unordered_map>
 
 #include "common/bitutil.h"
@@ -15,6 +13,8 @@
 namespace indexmac::core {
 namespace {
 
+using kernels::dataflow_id;
+using kernels::parse_dataflow;
 using workloads::parse_sparsity;
 using workloads::sparsity_label;
 
@@ -27,22 +27,6 @@ const char* algorithm_id(Algorithm a) {
 /// Raises with every registered id on an unknown one.
 Algorithm parse_algorithm(const std::string& id) {
   return AlgorithmRegistry::instance().by_id(id).algorithm;
-}
-
-const char* dataflow_id(kernels::Dataflow d) {
-  switch (d) {
-    case kernels::Dataflow::kAStationary: return "a";
-    case kernels::Dataflow::kBStationary: return "b";
-    case kernels::Dataflow::kCStationary: return "c";
-  }
-  raise("unknown dataflow");
-}
-
-kernels::Dataflow parse_dataflow(const std::string& id) {
-  if (id == "a") return kernels::Dataflow::kAStationary;
-  if (id == "b") return kernels::Dataflow::kBStationary;
-  if (id == "c") return kernels::Dataflow::kCStationary;
-  raise("unknown dataflow \"" + id + "\" (known: a, b, c)");
 }
 
 SweepMode parse_mode(const std::string& id) {
@@ -195,11 +179,7 @@ SweepSpec parse_sweep_spec(const std::string& json_text) {
 }
 
 SweepSpec parse_sweep_spec_file(const std::string& path) {
-  std::ifstream file(path);
-  IMAC_CHECK(file.good(), "cannot open sweep spec " + path);
-  std::stringstream buf;
-  buf << file.rdbuf();
-  return parse_sweep_spec(buf.str());
+  return parse_sweep_spec(read_text_file(path));
 }
 
 // --- expansion ------------------------------------------------------------

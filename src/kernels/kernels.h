@@ -27,9 +27,11 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "asm/program.h"
+#include "common/error.h"
 #include "kernels/layout.h"
 
 namespace indexmac::kernels {
@@ -37,6 +39,24 @@ namespace indexmac::kernels {
 /// Dataflow (operand kept stationary in registers) for Algorithm 2.
 /// Algorithm 3 is B-stationary by construction.
 enum class Dataflow { kAStationary, kBStationary, kCStationary };
+
+/// The dataflow's id in sweep specs, cache keys and reports: "a", "b", "c".
+[[nodiscard]] inline const char* dataflow_id(Dataflow d) {
+  switch (d) {
+    case Dataflow::kAStationary: return "a";
+    case Dataflow::kBStationary: return "b";
+    case Dataflow::kCStationary: return "c";
+  }
+  raise("unknown dataflow");
+}
+
+/// Inverse of dataflow_id; raises SimError listing the ids on anything else.
+[[nodiscard]] inline Dataflow parse_dataflow(const std::string& id) {
+  if (id == "a") return Dataflow::kAStationary;
+  if (id == "b") return Dataflow::kBStationary;
+  if (id == "c") return Dataflow::kCStationary;
+  raise("unknown dataflow \"" + id + "\" (known: a, b, c)");
+}
 
 /// Element interpretation of the 32-bit lanes.
 enum class ElemType { kF32, kI32 };

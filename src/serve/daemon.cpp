@@ -7,10 +7,10 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <vector>
 
 #include "common/error.h"
+#include "common/format.h"
 #include "core/sweep.h"
 #include "serve/net.h"
 #include "serve/protocol.h"
@@ -37,31 +37,6 @@ struct Client {
   std::string name;         ///< from hello, for log lines
   bool greeted = false;
 };
-
-std::string read_file(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  IMAC_CHECK(file.good(), "imac_serve: cannot open sweep spec " + path);
-  std::stringstream buf;
-  buf << file.rdbuf();
-  return buf.str();
-}
-
-/// Writes the rendered report (binary-exact) to `path` or stdout; throws
-/// SimError on short writes so a full disk never yields a silently
-/// truncated "successful" report.
-void write_report(const std::string& rendered, const std::string& path) {
-  if (!path.empty()) {
-    std::ofstream out(path, std::ios::binary);
-    IMAC_CHECK(out.good(), "imac_serve: cannot write " + path);
-    out << rendered;
-    out.close();
-    IMAC_CHECK(out.good(), "imac_serve: write to " + path + " failed");
-    return;
-  }
-  IMAC_CHECK(std::fwrite(rendered.data(), 1, rendered.size(), stdout) == rendered.size() &&
-                 std::fflush(stdout) == 0,
-             "imac_serve: write to stdout failed");
-}
 
 std::string fmt_eta(std::uint64_t ms) {
   char buf[32];
@@ -209,8 +184,8 @@ struct Daemon {
     std::map<std::string, StoredResult> merged;
     core::accumulate_results(store, merged);
     const core::SweepReport report = core::assemble_report(spec, merged);
-    write_report(opts.json ? core::report_to_json(report) : core::report_to_csv(report),
-                 opts.out_path);
+    write_text_file(opts.out_path,
+                    opts.json ? core::report_to_json(report) : core::report_to_csv(report));
     if (!opts.out_path.empty())
       std::fprintf(stderr, "wrote %zu rows to %s\n", report.rows.size(), opts.out_path.c_str());
   }
@@ -271,7 +246,7 @@ int run_daemon(const ServeOptions& options) {
   IMAC_CHECK(!options.spec_path.empty(), "imac_serve: --spec is required");
   IMAC_CHECK(!options.store_dir.empty(), "imac_serve: --store is required");
 
-  std::string spec_text = read_file(options.spec_path);
+  std::string spec_text = read_text_file(options.spec_path);
   SweepSpec spec = core::parse_sweep_spec(spec_text);
   std::vector<SweepPoint> points = core::expand_sweep(spec);
   Daemon d(options, std::move(spec), std::move(spec_text), std::move(points));

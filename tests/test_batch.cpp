@@ -180,7 +180,8 @@ TEST(BatchRunner, ParseThreadCountMirrorsEnvValidation) {
                        "2147483648", "99999", "1e3", "4294967297", " "};
   for (const char* value : bad) {
     SCOPED_TRACE(std::string("--threads \"") + value + "\"");
-    EXPECT_THROW((void)BatchRunner::parse_thread_count(value), SimError);
+    // A usage error, so a bad --threads exits 2 like any other bad flag.
+    EXPECT_THROW((void)BatchRunner::parse_thread_count(value), UsageError);
   }
 }
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Generates docs/cli.md from the binaries' own --help output (stdlib only).
 
-The CLI help text in tools/imac_run.cpp (the SubcommandDoc table) and
-tools/imac_serve.cpp is the single source of truth for flag documentation;
-this script captures it into a reviewable markdown page. Run it after
-changing any --help text:
+Every flag both tools accept is one cli::Flag row of a cli::Command (the
+kCommands table in tools/imac_run.cpp, kServe in tools/imac_serve.cpp);
+tools/cli.cpp parses argv against those rows and renders --help from them.
+This script captures that help into a reviewable markdown page. Run it
+after changing any row:
 
     python3 tools/gen_cli_docs.py --run build/tools/imac_run \
         --serve build/tools/imac_serve --out docs/cli.md
@@ -25,7 +26,7 @@ HEADER = """\
 <!-- GENERATED FILE - DO NOT EDIT BY HAND.
      Regenerate with:
        python3 tools/gen_cli_docs.py --run <imac_run> --serve <imac_serve> --out docs/cli.md
-     The source of truth is the --help text in tools/imac_run.cpp and
+     The source of truth is the cli::Command rows in tools/imac_run.cpp and
      tools/imac_serve.cpp; ctest (test_cli_docs) and CI (docs-freshness)
      fail when this file is stale. -->
 
@@ -78,10 +79,7 @@ def render(run_bin: str, serve_bin: str) -> str:
     out.append("```\n")
     for name in subcommand_names(run_help):
         out.append(f"\n### imac_run {name}\n\n```text\n")
-        help_text = capture([run_bin, name, "--help"])
-        # Drop the generic "usage:" preamble; the section heading names it.
-        body = help_text.split("\n\n", 1)[1] if "\n\n" in help_text else help_text
-        out.append(body)
+        out.append(capture([run_bin, name, "--help"]))
         out.append("```\n")
 
     out.append("\n## imac_serve\n\n```text\n")

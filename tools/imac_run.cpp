@@ -1,48 +1,21 @@
-// imac-run: the simulator's command-line front end.
-//
-// Subcommands:
-//   run             assemble + execute a text-assembly program (functional
-//                   or cycle-level timing simulation)
-//   sweep           execute a declarative sweep spec (JSON) over the
-//                   workload registry and emit a CSV/JSON report; with
-//                   --store/--resume/--shard the run is crash-safe,
-//                   restartable, and horizontally partitionable
-//   merge           fuse shard stores and/or shard CSV reports back into
-//                   the canonical single-process report
-//   gdb             serve a GDB remote-serial-protocol debug session over
-//                   an assembled program (debug/gdb_server.h): breakpoints,
-//                   single-step, register/memory inspection, both engines
-//   list-workloads  show the registered workload suites (or one suite's
-//                   layer list); --json for tooling
-//   list-algorithms show the registered kernel families (id, name, report
-//                   role, sampled-mode support)
-//   import-model    load a pruned checkpoint directory (model.json +
-//                   IMACTNSR tensor blobs) and print its measured
-//                   per-layer sparsity; `sweep --import DIR` registers it
-//   report          pretty-print a sweep CSV, pairing algorithms into
-//                   speedup columns by their registry pairing role; with
-//                   --rollup, fold count-weighted rows into whole-network
-//                   latency / energy-proxy totals
-//
-// Invoking with a .s file and no subcommand keeps the historical
-// single-purpose interface working: `imac_run [flags] file.s` == `imac_run
-// run [flags] file.s`.
+// imac-run: the simulator's command-line front end. Each subcommand is one
+// row of kCommands at the bottom of this file; tools/cli.h parses argv
+// against the row and renders its --help.
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "asm/text_assembler.h"
+#include "cli.h"
 #include "common/error.h"
 #include "common/format.h"
 #include "core/algorithm_registry.h"
@@ -62,6 +35,8 @@
 
 namespace {
 
+namespace cli = indexmac::cli;
+
 /// SIGINT/SIGTERM flag for the graceful-shutdown paths (sweep, worker).
 /// An atomic store is the only thing the handler does — async-signal-safe.
 std::atomic<bool> g_stop{false};
@@ -73,173 +48,16 @@ void install_stop_handlers() {
   std::signal(SIGTERM, handle_stop_signal);
 }
 
-/// Per-subcommand documentation. The summary list, the full help, and
-/// `imac_run <sub> --help` all render from this one table, and
-/// tools/gen_cli_docs.py regenerates docs/cli.md from the same output —
-/// a flag documented here is documented everywhere.
-struct SubcommandDoc {
-  const char* name;
-  const char* brief;  ///< one line for the summary list
-  const char* help;   ///< full section (usage line + flag descriptions)
-};
+/// --threads N, shared by run and sweep.
+constexpr cli::Flag kThreadsFlag{
+    "--threads", "N",
+    "worker-pool width for batched work, 1 to 1024: the same rule as the "
+    "INDEXMAC_THREADS environment variable, over which it wins"};
 
-const SubcommandDoc kSubcommands[] = {
-    {"run", "assemble and execute a text-assembly program",
-     "  run [--timing] [--trace] [--max-steps N] [--dump-regs] [--threads N]\n"
-     "      [--engine interp|threaded] file.s\n"
-     "      Assembles file.s (the library's RISC-V subset, including\n"
-     "      vindexmac.vx) and executes it; programs halt with ebreak.\n"
-     "      --timing       run on the cycle-level timing model\n"
-     "      --trace        print each executed instruction (functional mode;\n"
-     "                     not with --timing)\n"
-     "      --max-steps N  stop after N instructions (default 100000000)\n"
-     "      --dump-regs    print architectural registers on exit\n"
-     "      --engine E     functional engine: \"interp\" (default) or\n"
-     "                     \"threaded\" (predecoded threaded code; identical\n"
-     "                     results, faster; --trace requires interp). No\n"
-     "                     effect with --timing, which always runs on the\n"
-     "                     threaded engine's block trace\n"},
-    {"sweep", "run a declarative sweep spec and emit a CSV/JSON report",
-     "  sweep --spec spec.json [--out file] [--format csv|json] [--threads N]\n"
-     "        [--store DIR] [--resume] [--fsync] [--shard i/N]\n"
-     "        [--engine interp|threaded] [--import DIR]... [--rollup]\n"
-     "      Runs the sweep described by spec.json (see README: sweep specs)\n"
-     "      on a parallel BatchRunner pool and writes the report to stdout\n"
-     "      or --out.\n"
-     "      --store DIR   journal every completed point to DIR/results.journal\n"
-     "                    (append-only, CRC-checked; survives a killed run)\n"
-     "      --resume      with --store: serve already-journaled points from\n"
-     "                    the store and simulate only what is missing\n"
-     "      --shard i/N   run only shard i of N: points are partitioned by\n"
-     "                    digest (fnv1a(key) %% N == i-1), so N processes with\n"
-     "                    disjoint shards cover the grid exactly once\n"
-     "      --engine E    accepted (interp|threaded) but no effect, like the\n"
-     "                    spec's \"engine\" key: timing always runs on the\n"
-     "                    threaded engine's block trace\n"
-     "      --fsync       with --store: fsync the journal after every record\n"
-     "                    (survives power loss, not just process death)\n"
-     "      --import DIR  register the checkpoint in DIR (see import-model)\n"
-     "                    before parsing the spec, so specs can sweep it\n"
-     "      --rollup      append whole-network totals to the report: a\n"
-     "                    \"# rollup\" CSV section / \"rollup\" JSON key with\n"
-     "                    count-weighted end-to-end cycles and a bytes-moved\n"
-     "                    energy proxy per (suite x sparsity x config)\n"
-     "      SIGINT/SIGTERM stop gracefully: queued points are skipped,\n"
-     "      in-flight points finish and journal, and the run exits 130 with\n"
-     "      a resume hint (rerun with --resume).\n"},
-    {"worker", "join an imac_serve daemon as a fault-tolerant sweep worker",
-     "  worker (--port N | --port-file F) [--host A] [--name W]\n"
-     "         [--heartbeat-ms N] [--poll-ms N] [--backoff-base-ms N]\n"
-     "         [--backoff-cap-ms N] [--give-up-ms N] [--quiet]\n"
-     "         [--chaos-kill-after N] [--chaos-drop-after N]\n"
-     "         [--chaos-stall-after N --chaos-stall-ms N]\n"
-     "      Joins an imac_serve daemon as a sweep worker: leases grid\n"
-     "      points, measures them, streams results back, and reconnects\n"
-     "      with capped exponential backoff when the daemon goes away.\n"
-     "      Exits 0 when the daemon reports the grid complete, 3 after\n"
-     "      --give-up-ms without a reachable daemon, 130 on SIGINT.\n"
-     "      --port-file F  read the port from F (as written by imac_serve\n"
-     "                     --port-file), waiting for it to appear\n"
-     "      --give-up-ms N give up after N ms without a reachable daemon\n"
-     "                     (default 60000); also bounds the --port-file wait\n"
-     "      --chaos-*      scripted fault injection for tests: SIGKILL self\n"
-     "                     before sending result N / drop the connection\n"
-     "                     mid-record at result N / stall without heartbeats\n"
-     "                     after result N\n"},
-    {"merge", "fuse shard stores/reports into the canonical report",
-     "  merge --spec spec.json [--store DIR]... [--out file] [--format csv|json]\n"
-     "        [--import DIR]... [shard.csv]...\n"
-     "      Fuses shard stores and/or shard CSV reports into the canonical\n"
-     "      report of spec.json — byte-identical to a single-process sweep.\n"
-     "      Conflicting or missing points abort with an error. Stores keep\n"
-     "      full double precision; shard CSVs round sampled-mode cycles to\n"
-     "      2 decimals, so for sampled sweeps merge from stores (CSV inputs\n"
-     "      still give byte-exact CSV output, but not JSON, and must not\n"
-     "      overlap a store's points).\n"},
-    {"gdb", "serve a GDB remote-debug session over a program",
-     "  gdb [--port N] [--port-file F] [--engine interp|threaded] [--quiet]\n"
-     "      file.s\n"
-     "      Assembles file.s and serves ONE GDB remote-serial-protocol\n"
-     "      debug session on 127.0.0.1 (registers x0..x31/pc/f/v/vl, memory,\n"
-     "      software breakpoints, continue/step, Ctrl-C interrupt). Connect\n"
-     "      a RISC-V-aware gdb with `target remote :PORT`, or script it with\n"
-     "      tools/rsp_client.py. Breakpoints are pc-checks, never program\n"
-     "      patches: architectural results match an undebugged run exactly,\n"
-     "      and with --engine threaded only breakpointed blocks drop to\n"
-     "      interpreter stepping.\n"
-     "      --port N       listen port (default 0 = kernel-assigned; the\n"
-     "                     bound port is printed to stderr)\n"
-     "      --port-file F  also write the bound port to F (harness handshake,\n"
-     "                     same contract as imac_serve --port-file)\n"
-     "      --engine E     execution engine: \"interp\" (default) or \"threaded\"\n"
-     "      --quiet        suppress the listening/connected stderr notes\n"
-     "      monitor commands (gdb `monitor ...`): markers (pc of each marker\n"
-     "      instruction), symbols (label addresses), retired (instruction\n"
-     "      count), engine, fault (text of the last execution fault).\n"
-     "      Exits 0 when the debugger detaches, kills, or disconnects;\n"
-     "      130 on SIGINT/SIGTERM.\n"},
-    {"list-workloads", "show registered workload suites (or one suite's layers)",
-     "  list-workloads [suite] [--json]\n"
-     "      Lists the registered workload suites, or one suite's layers.\n"
-     "      --json emits a machine-readable listing (name, display name,\n"
-     "      layer count, total MACs, default sparsities) for tooling.\n"},
-    {"list-algorithms", "show registered kernel families",
-     "  list-algorithms\n"
-     "      Lists the registered kernel families: id (as used in sweep specs\n"
-     "      and CSV reports), display name, report pairing role, and whether\n"
-     "      sampled sweep mode supports the family.\n"},
-    {"import-model", "load a pruned checkpoint and print measured sparsity",
-     "  import-model DIR [--json]\n"
-     "      Loads the checkpoint in DIR (model.json manifest + IMACTNSR\n"
-     "      tensor blobs, f32/f16; see README: model import) and prints each\n"
-     "      layer's measured sparsity: nonzero density, N:M block\n"
-     "      conformity against the declared pattern, and ELLPACK\n"
-     "      row-imbalance. Sweep it with `sweep --import DIR` and a spec\n"
-     "      naming the model.\n"},
-    {"report", "pretty-print a sweep CSV with paired speedup columns",
-     "  report [--rollup] file.csv\n"
-     "      Pretty-prints a sweep CSV; rows measured with both kernels are\n"
-     "      paired into a speedup column (standalone families keep their\n"
-     "      own rows). --rollup prints whole-network totals instead: per\n"
-     "      (suite x sparsity x config), count-weighted end-to-end cycles,\n"
-     "      data accesses and the bytes-moved energy proxy (accesses x 64,\n"
-     "      a cache-line-granularity upper bound).\n"},
-};
-
-// Requested help goes to stdout (exit 0); usage errors go to stderr (the
-// summary only — `imac_run <sub> --help` has the details).
-void usage(std::FILE* out) {
-  std::fprintf(out,
-               "usage: imac_run <subcommand> [args]\n"
-               "\n"
-               "subcommands:\n");
-  for (const SubcommandDoc& doc : kSubcommands)
-    std::fprintf(out, "  %-16s %s\n", doc.name, doc.brief);
-  std::fprintf(out,
-               "\n"
-               "`imac_run <subcommand> --help` shows that subcommand's flags;\n"
-               "`imac_run --help` shows every subcommand's flags.\n"
-               "`imac_run [flags] file.s` (no subcommand) is accepted as `run`.\n"
-               "  -h, --help     show this help and exit\n");
-}
-
-void usage_full(std::FILE* out) {
-  usage(out);
-  std::fprintf(out, "\n");
-  for (const SubcommandDoc& doc : kSubcommands) std::fprintf(out, "%s", doc.help);
-  std::fprintf(out,
-               "\n"
-               "  --threads N (run, sweep) sets the worker-pool width for any batched\n"
-               "  work. It mirrors the INDEXMAC_THREADS environment variable — same\n"
-               "  [1, 1024] validation, rejecting anything else — and wins over it\n"
-               "  when both are given.\n");
-}
-
-/// Full help for one subcommand, or nullptr if the name is unknown.
-const SubcommandDoc* find_subcommand_doc(const char* name) {
-  for (const SubcommandDoc& doc : kSubcommands)
-    if (std::strcmp(doc.name, name) == 0) return &doc;
-  return nullptr;
+void apply_threads(const cli::Args& args) {
+  using indexmac::core::BatchRunner;
+  if (const char* threads = args.get("--threads"))
+    BatchRunner::set_thread_override(BatchRunner::parse_thread_count(threads, "--threads"));
 }
 
 void dump_registers(const indexmac::ArchState& state) {
@@ -252,58 +70,34 @@ void dump_registers(const indexmac::ArchState& state) {
   std::printf("  vl=%u\n", state.vl);
 }
 
-int cmd_run(int argc, char** argv) {
+/// The engine --engine names (parse_exec_engine raises listing the names).
+indexmac::ExecEngine engine_flag(const cli::Args& args) {
+  const char* engine = args.get("--engine");
+  return engine == nullptr ? indexmac::ExecEngine::kInterp : indexmac::parse_exec_engine(engine);
+}
+
+/// The one .s operand of run and gdb, assembled.
+indexmac::AssembledText assemble_operand(const cli::Args& args) {
+  if (args.operands().empty()) throw indexmac::UsageError("a .s program file is required");
+  return indexmac::assemble_text(indexmac::read_text_file(args.operands()[0]));
+}
+
+int cmd_run(const cli::Args& args) {
   using namespace indexmac;
-  bool timing = false;
-  bool trace = false;
-  bool dump_regs = false;
-  std::uint64_t max_steps = 100'000'000;
-  ExecEngine engine = ExecEngine::kInterp;
-  const char* path = nullptr;
+  const bool timing = args.has("--timing");
+  const bool trace = args.has("--trace");
+  const std::uint64_t max_steps = args.uint("--max-steps", 100'000'000);
+  const ExecEngine engine = engine_flag(args);
+  apply_threads(args);
+  // The Tracer drives Machine::step itself; silently ignoring --engine
+  // would misreport what executed.
+  if (trace && engine == ExecEngine::kThreaded)
+    throw UsageError("--trace requires --engine interp");
+  // The timed run prints statistics, not an instruction trace; silently
+  // ignoring --trace would hide that nothing was traced.
+  if (trace && timing) throw UsageError("--trace cannot be combined with --timing");
 
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--timing") == 0) timing = true;
-    else if (std::strcmp(argv[i], "--trace") == 0) trace = true;
-    else if (std::strcmp(argv[i], "--dump-regs") == 0) dump_regs = true;
-    else if (std::strcmp(argv[i], "--max-steps") == 0 && i + 1 < argc)
-      max_steps = parse_uint(argv[++i], "--max-steps");
-    else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc)
-      engine = parse_exec_engine(argv[++i]);  // throws SimError listing names
-    else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-      // Throws SimError (caught in main) on anything outside [1, 1024].
-      core::BatchRunner::set_thread_override(core::BatchRunner::parse_thread_count(argv[++i]));
-    else if (argv[i][0] != '-' && path == nullptr) path = argv[i];
-    else {
-      usage(stderr);
-      return 2;
-    }
-  }
-  if (path == nullptr) {
-    usage(stderr);
-    return 2;
-  }
-  if (trace && engine == ExecEngine::kThreaded) {
-    // The Tracer drives Machine::step itself; silently ignoring --engine
-    // would misreport what executed.
-    std::fprintf(stderr, "imac_run run: --trace requires --engine interp\n");
-    return 2;
-  }
-  if (trace && timing) {
-    // The timed run prints statistics, not an instruction trace; silently
-    // ignoring --trace would hide that nothing was traced.
-    std::fprintf(stderr, "imac_run run: --trace cannot be combined with --timing\n");
-    return 2;
-  }
-
-  std::ifstream file(path);
-  if (!file) {
-    std::fprintf(stderr, "imac_run: cannot open %s\n", path);
-    return 1;
-  }
-  std::stringstream source;
-  source << file.rdbuf();
-
-  const AssembledText assembled = assemble_text(source.str());
+  const AssembledText assembled = assemble_operand(args);
   std::printf("assembled %zu instructions at 0x%llx\n", assembled.program.size(),
               static_cast<unsigned long long>(assembled.program.base()));
 
@@ -345,115 +139,52 @@ int cmd_run(int argc, char** argv) {
                                                     : "max-steps";
     std::printf("stopped: %s after %llu instructions\n", why,
                 static_cast<unsigned long long>(machine.instructions_retired()));
-    if (dump_regs) dump_registers(machine.state());
+    if (args.has("--dump-regs")) dump_registers(machine.state());
   }
   return 0;
 }
 
-/// Writes a rendered report to --out (binary, so CSV bytes are exact) or
-/// stdout. Returns a process exit code.
-int write_report(const std::string& rendered, const char* out_path, std::size_t rows,
-                 const char* subcommand) {
-  if (out_path != nullptr) {
-    std::ofstream out(out_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "imac_run %s: cannot write %s\n", subcommand, out_path);
-      return 1;
-    }
-    out << rendered;
-    // Flush and verify before claiming success: a full disk (or a signal
-    // killing us during the message below) must not leave a silently
-    // truncated report behind a "wrote N rows" line.
-    out.close();
-    if (!out) {
-      std::fprintf(stderr, "imac_run %s: write to %s failed\n", subcommand, out_path);
-      return 1;
-    }
-    std::fprintf(stderr, "wrote %zu rows to %s\n", rows, out_path);
-  } else {
-    // stdout is frequently a redirect; a short write (full disk, closed
-    // pipe) must fail the process, not masquerade as a complete report.
-    if (std::fwrite(rendered.data(), 1, rendered.size(), stdout) != rendered.size() ||
-        std::fflush(stdout) != 0) {
-      std::fprintf(stderr, "imac_run %s: write to stdout failed\n", subcommand);
-      return 1;
-    }
-  }
+/// Writes a rendered report to --out or stdout; returns the exit code.
+int write_report(const std::string& rendered, const char* out_path, std::size_t rows) {
+  indexmac::write_text_file(out_path == nullptr ? "" : out_path, rendered);
+  if (out_path != nullptr) std::fprintf(stderr, "wrote %zu rows to %s\n", rows, out_path);
   return 0;
 }
 
-int cmd_sweep(int argc, char** argv) {
+/// Registers every --import checkpoint. Specs name the model, so this
+/// must run before the spec parses (parse_sweep_spec rejects unknown suite
+/// names).
+void import_checkpoints(const cli::Args& args) {
   using namespace indexmac;
-  const char* spec_path = nullptr;
-  const char* out_path = nullptr;
-  const char* store_dir = nullptr;
-  const char* shard_text = nullptr;
-  const char* engine_text = nullptr;
-  bool resume = false;
-  bool fsync_each = false;
-  bool json = false;
-  bool rollup = false;
-  unsigned threads = 0;
-  std::vector<const char*> import_dirs;
-
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--spec") == 0 && i + 1 < argc) spec_path = argv[++i];
-    else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
-    else if (std::strcmp(argv[i], "--store") == 0 && i + 1 < argc) store_dir = argv[++i];
-    else if (std::strcmp(argv[i], "--shard") == 0 && i + 1 < argc) shard_text = argv[++i];
-    else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) engine_text = argv[++i];
-    else if (std::strcmp(argv[i], "--import") == 0 && i + 1 < argc) import_dirs.push_back(argv[++i]);
-    else if (std::strcmp(argv[i], "--resume") == 0) resume = true;
-    else if (std::strcmp(argv[i], "--rollup") == 0) rollup = true;
-    else if (std::strcmp(argv[i], "--fsync") == 0) fsync_each = true;
-    else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      // Same strictness as INDEXMAC_THREADS (throws SimError on anything
-      // outside [1, 1024]): a silently-mangled typo would run the sweep at
-      // an unintended width.
-      threads = core::BatchRunner::parse_thread_count(argv[++i]);
-      core::BatchRunner::set_thread_override(threads);
-    }
-    else if (std::strcmp(argv[i], "--format") == 0 && i + 1 < argc) {
-      const char* fmt = argv[++i];
-      if (std::strcmp(fmt, "json") == 0) json = true;
-      else if (std::strcmp(fmt, "csv") == 0) json = false;
-      else {
-        std::fprintf(stderr, "imac_run sweep: unknown format %s (csv|json)\n", fmt);
-        return 2;
-      }
-    } else {
-      usage(stderr);
-      return 2;
-    }
-  }
-  if (spec_path == nullptr) {
-    std::fprintf(stderr, "imac_run sweep: --spec is required\n");
-    return 2;
-  }
-  if (resume && store_dir == nullptr) {
-    std::fprintf(stderr, "imac_run sweep: --resume requires --store DIR\n");
-    return 2;
-  }
-  if (fsync_each && store_dir == nullptr) {
-    std::fprintf(stderr, "imac_run sweep: --fsync requires --store DIR\n");
-    return 2;
-  }
-
-  // Checkpoints register before the spec parses: parse_sweep_spec rejects
-  // unknown suite names, so a spec may only sweep an imported model when
-  // its --import precedes validation.
-  for (const char* dir : import_dirs) {
+  for (const char* dir : args.all("--import")) {
     workloads::register_model(workloads::import_model(dir));
     std::fprintf(stderr, "imported %s\n", dir);
   }
+}
 
-  core::SweepSpec spec = core::parse_sweep_spec_file(spec_path);
-  // The CLI flag wins over the spec's "engine" key. Neither affects timing
-  // (see SweepSpec::engine); the name is still validated.
-  if (engine_text != nullptr) spec.engine = parse_exec_engine(engine_text);
+/// The --spec every sweep-shaped subcommand requires.
+const char* required_spec(const cli::Args& args) {
+  const char* spec_path = args.get("--spec");
+  if (spec_path == nullptr) throw indexmac::UsageError("--spec is required");
+  return spec_path;
+}
+
+int cmd_sweep(const cli::Args& args) {
+  using namespace indexmac;
+  const char* store_dir = args.get("--store");
+  const bool resume = args.has("--resume");
+  const bool fsync_each = args.has("--fsync");
+  const bool json = cli::json_format(args);
+  apply_threads(args);
+  const char* spec_path = required_spec(args);
+  if (resume && store_dir == nullptr) throw UsageError("--resume requires --store DIR");
+  if (fsync_each && store_dir == nullptr) throw UsageError("--fsync requires --store DIR");
+
+  import_checkpoints(args);
+  const core::SweepSpec spec = core::parse_sweep_spec_file(spec_path);
   std::vector<core::SweepPoint> points = core::expand_sweep(spec);
   const std::size_t full_grid = points.size();
-  if (shard_text != nullptr) {
+  if (const char* shard_text = args.get("--shard")) {
     const core::ShardSpec shard = core::parse_shard(shard_text);
     points = core::filter_shard(spec, points, shard);
     std::fprintf(stderr, "shard %u/%u owns %zu of %zu points\n", shard.index, shard.count,
@@ -478,7 +209,7 @@ int cmd_sweep(int argc, char** argv) {
                  resume ? " (resuming)" : "");
   }
 
-  core::BatchRunner pool(threads);
+  core::BatchRunner pool;
   std::fprintf(stderr, "sweep %s: %zu points on %u threads\n", spec.name.c_str(), points.size(),
                pool.thread_count());
   install_stop_handlers();
@@ -489,14 +220,14 @@ int cmd_sweep(int argc, char** argv) {
                    static_cast<unsigned long long>(store->appended()),
                    static_cast<unsigned long long>(store->loaded()));
     std::string rendered;
-    if (rollup) {
+    if (args.has("--rollup")) {
       const core::RollupReport totals = core::compute_rollup(report);
       rendered = json ? core::report_to_json_with_rollup(report, totals)
                       : core::report_to_csv(report) + core::rollup_to_csv(totals);
     } else {
       rendered = json ? core::report_to_json(report) : core::report_to_csv(report);
     }
-    return write_report(rendered, out_path, report.rows.size(), "sweep");
+    return write_report(rendered, args.get("--out"), report.rows.size());
   } catch (const core::BatchCancelled&) {
     // Graceful interrupt: in-flight points finished and (with --store)
     // journaled before we got here; queued points were skipped. No report
@@ -517,36 +248,15 @@ int cmd_sweep(int argc, char** argv) {
   }
 }
 
-int cmd_gdb(int argc, char** argv) {
+int cmd_gdb(const cli::Args& args) {
   using namespace indexmac;
   debug::GdbServerOptions opts;
-  const char* path = nullptr;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc)
-      opts.port = static_cast<std::uint16_t>(
-          parse_uint(argv[++i], "--port", std::numeric_limits<std::uint16_t>::max()));
-    else if (std::strcmp(argv[i], "--port-file") == 0 && i + 1 < argc) opts.port_file = argv[++i];
-    else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc)
-      opts.engine = parse_exec_engine(argv[++i]);
-    else if (std::strcmp(argv[i], "--quiet") == 0) opts.quiet = true;
-    else if (argv[i][0] != '-' && path == nullptr) path = argv[i];
-    else {
-      usage(stderr);
-      return 2;
-    }
-  }
-  if (path == nullptr) {
-    std::fprintf(stderr, "imac_run gdb: a .s program file is required\n");
-    return 2;
-  }
-  std::ifstream file(path);
-  if (!file) {
-    std::fprintf(stderr, "imac_run: cannot open %s\n", path);
-    return 1;
-  }
-  std::stringstream source;
-  source << file.rdbuf();
-  const AssembledText assembled = assemble_text(source.str());
+  opts.port = static_cast<std::uint16_t>(
+      args.uint("--port", 0, std::numeric_limits<std::uint16_t>::max()));
+  opts.port_file = args.get("--port-file", "");
+  opts.engine = engine_flag(args);
+  opts.quiet = args.has("--quiet");
+  const AssembledText assembled = assemble_operand(args);
 
   MainMemory mem;
   install_stop_handlers();
@@ -554,50 +264,30 @@ int cmd_gdb(int argc, char** argv) {
   return debug::run_gdb_server(assembled, mem, opts);
 }
 
-int cmd_worker(int argc, char** argv) {
+int cmd_worker(const cli::Args& args) {
   using namespace indexmac;
   serve::WorkerOptions opts;
-  const char* port_file = nullptr;
-
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--host") == 0 && i + 1 < argc) opts.host = argv[++i];
-    else if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc)
-      opts.port = static_cast<std::uint16_t>(
-          parse_uint(argv[++i], "--port", std::numeric_limits<std::uint16_t>::max()));
-    else if (std::strcmp(argv[i], "--port-file") == 0 && i + 1 < argc) port_file = argv[++i];
-    else if (std::strcmp(argv[i], "--name") == 0 && i + 1 < argc) opts.name = argv[++i];
-    else if (std::strcmp(argv[i], "--heartbeat-ms") == 0 && i + 1 < argc)
-      opts.heartbeat_ms = parse_uint(argv[++i], "--heartbeat-ms");
-    else if (std::strcmp(argv[i], "--poll-ms") == 0 && i + 1 < argc)
-      opts.poll_ms = parse_uint(argv[++i], "--poll-ms");
-    else if (std::strcmp(argv[i], "--backoff-base-ms") == 0 && i + 1 < argc)
-      opts.backoff_base_ms = parse_uint(argv[++i], "--backoff-base-ms");
-    else if (std::strcmp(argv[i], "--backoff-cap-ms") == 0 && i + 1 < argc)
-      opts.backoff_cap_ms = parse_uint(argv[++i], "--backoff-cap-ms");
-    else if (std::strcmp(argv[i], "--give-up-ms") == 0 && i + 1 < argc)
-      opts.give_up_ms = parse_uint(argv[++i], "--give-up-ms");
-    else if (std::strcmp(argv[i], "--chaos-kill-after") == 0 && i + 1 < argc)
-      opts.chaos.kill_after = static_cast<long>(
-          parse_uint(argv[++i], "--chaos-kill-after", std::numeric_limits<long>::max()));
-    else if (std::strcmp(argv[i], "--chaos-drop-after") == 0 && i + 1 < argc)
-      opts.chaos.drop_after = static_cast<long>(
-          parse_uint(argv[++i], "--chaos-drop-after", std::numeric_limits<long>::max()));
-    else if (std::strcmp(argv[i], "--chaos-stall-after") == 0 && i + 1 < argc)
-      opts.chaos.stall_after =
-          static_cast<long>(parse_uint(argv[++i], "--chaos-stall-after",
-                                       std::numeric_limits<long>::max()));
-    else if (std::strcmp(argv[i], "--chaos-stall-ms") == 0 && i + 1 < argc)
-      opts.chaos.stall_ms = parse_uint(argv[++i], "--chaos-stall-ms");
-    else if (std::strcmp(argv[i], "--quiet") == 0) opts.quiet = true;
-    else {
-      usage(stderr);
-      return 2;
-    }
-  }
-  if ((opts.port == 0) == (port_file == nullptr)) {
-    std::fprintf(stderr, "imac_run worker: exactly one of --port/--port-file is required\n");
-    return 2;
-  }
+  if (const char* host = args.get("--host")) opts.host = host;
+  if (const char* name = args.get("--name")) opts.name = name;
+  opts.port = static_cast<std::uint16_t>(
+      args.uint("--port", 0, std::numeric_limits<std::uint16_t>::max()));
+  opts.heartbeat_ms = args.uint("--heartbeat-ms", opts.heartbeat_ms);
+  opts.poll_ms = args.uint("--poll-ms", opts.poll_ms);
+  opts.backoff_base_ms = args.uint("--backoff-base-ms", opts.backoff_base_ms);
+  opts.backoff_cap_ms = args.uint("--backoff-cap-ms", opts.backoff_cap_ms);
+  opts.give_up_ms = args.uint("--give-up-ms", opts.give_up_ms);
+  opts.quiet = args.has("--quiet");
+  const auto chaos_hook = [&](const char* flag, long& after) {
+    if (args.has(flag))
+      after = static_cast<long>(args.uint(flag, 0, std::numeric_limits<long>::max()));
+  };
+  chaos_hook("--chaos-kill-after", opts.chaos.kill_after);
+  chaos_hook("--chaos-drop-after", opts.chaos.drop_after);
+  chaos_hook("--chaos-stall-after", opts.chaos.stall_after);
+  opts.chaos.stall_ms = args.uint("--chaos-stall-ms", opts.chaos.stall_ms);
+  const char* port_file = args.get("--port-file");
+  if ((opts.port == 0) == (port_file == nullptr))
+    throw UsageError("exactly one of --port/--port-file is required");
   if (port_file != nullptr) {
     // The daemon writes its (possibly kernel-assigned) port here right
     // after binding; wait for it so harnesses can start both in parallel.
@@ -623,47 +313,15 @@ int cmd_worker(int argc, char** argv) {
   return serve::run_worker(opts);
 }
 
-int cmd_merge(int argc, char** argv) {
+int cmd_merge(const cli::Args& args) {
   using namespace indexmac;
-  const char* spec_path = nullptr;
-  const char* out_path = nullptr;
-  bool json = false;
-  std::vector<const char*> store_dirs;
-  std::vector<const char*> csv_paths;
+  const std::vector<const char*> store_dirs = args.all("--store");
+  const bool json = cli::json_format(args);
+  const char* spec_path = required_spec(args);
+  if (store_dirs.empty() && args.operands().empty())
+    throw UsageError("nothing to merge (give --store DIR and/or shard CSVs)");
 
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--spec") == 0 && i + 1 < argc) spec_path = argv[++i];
-    else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
-    else if (std::strcmp(argv[i], "--store") == 0 && i + 1 < argc) store_dirs.push_back(argv[++i]);
-    else if (std::strcmp(argv[i], "--import") == 0 && i + 1 < argc) {
-      // Same contract as sweep --import: the spec names the model, so the
-      // checkpoint must register before the spec parses below.
-      workloads::register_model(workloads::import_model(argv[++i]));
-    }
-    else if (std::strcmp(argv[i], "--format") == 0 && i + 1 < argc) {
-      const char* fmt = argv[++i];
-      if (std::strcmp(fmt, "json") == 0) json = true;
-      else if (std::strcmp(fmt, "csv") == 0) json = false;
-      else {
-        std::fprintf(stderr, "imac_run merge: unknown format %s (csv|json)\n", fmt);
-        return 2;
-      }
-    } else if (argv[i][0] != '-') {
-      csv_paths.push_back(argv[i]);
-    } else {
-      usage(stderr);
-      return 2;
-    }
-  }
-  if (spec_path == nullptr) {
-    std::fprintf(stderr, "imac_run merge: --spec is required\n");
-    return 2;
-  }
-  if (store_dirs.empty() && csv_paths.empty()) {
-    std::fprintf(stderr, "imac_run merge: nothing to merge (give --store DIR and/or shard CSVs)\n");
-    return 2;
-  }
-
+  import_checkpoints(args);
   const core::SweepSpec spec = core::parse_sweep_spec_file(spec_path);
   std::map<std::string, core::StoredResult> merged;
   for (const char* dir : store_dirs) {
@@ -672,22 +330,15 @@ int cmd_merge(int argc, char** argv) {
     std::fprintf(stderr, "merged store %s: %zu results\n", store.journal_path().c_str(),
                  store.size());
   }
-  for (const char* path : csv_paths) {
-    std::ifstream file(path, std::ios::binary);
-    if (!file) {
-      std::fprintf(stderr, "imac_run merge: cannot open %s\n", path);
-      return 1;
-    }
-    std::stringstream buf;
-    buf << file.rdbuf();
-    const core::SweepReport shard = core::parse_csv_report(buf.str());
+  for (const char* path : args.operands()) {
+    const core::SweepReport shard = core::parse_csv_report(read_text_file(path));
     core::accumulate_results(spec, shard, merged);
     std::fprintf(stderr, "merged report %s: %zu rows\n", path, shard.rows.size());
   }
 
   const core::SweepReport report = core::assemble_report(spec, merged);
   const std::string rendered = json ? core::report_to_json(report) : core::report_to_csv(report);
-  return write_report(rendered, out_path, report.rows.size(), "merge");
+  return write_report(rendered, args.get("--out"), report.rows.size());
 }
 
 /// Machine-readable suite facts: the fields tooling keys sweeps off
@@ -730,19 +381,10 @@ indexmac::JsonValue suite_json(const indexmac::workloads::ModelGraph& graph,
   return o;
 }
 
-int cmd_list_workloads(int argc, char** argv) {
+int cmd_list_workloads(const cli::Args& args) {
   using namespace indexmac;
-  bool json = false;
-  const char* suite_name = nullptr;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-    else if (argv[i][0] != '-' && suite_name == nullptr) suite_name = argv[i];
-    else {
-      usage(stderr);
-      return 2;
-    }
-  }
-  if (json) {
+  const char* suite_name = args.operands().empty() ? nullptr : args.operands()[0];
+  if (args.has("--json")) {
     if (suite_name != nullptr) {
       std::printf("%s\n", suite_json(workloads::model_graph(suite_name), true).dump().c_str());
       return 0;
@@ -785,12 +427,8 @@ int cmd_list_workloads(int argc, char** argv) {
   return 0;
 }
 
-int cmd_list_algorithms(int argc, char** /*argv*/) {
+int cmd_list_algorithms(const cli::Args& /*args*/) {
   using namespace indexmac;
-  if (argc != 0) {
-    usage(stderr);
-    return 2;
-  }
   TextTable table;
   table.set_header({"id", "name", "role", "sampled", "description"});
   for (const core::AlgorithmDescriptor& d : core::AlgorithmRegistry::instance().all())
@@ -800,24 +438,12 @@ int cmd_list_algorithms(int argc, char** /*argv*/) {
   return 0;
 }
 
-int cmd_import_model(int argc, char** argv) {
+int cmd_import_model(const cli::Args& args) {
   using namespace indexmac;
-  bool json = false;
-  const char* dir = nullptr;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-    else if (argv[i][0] != '-' && dir == nullptr) dir = argv[i];
-    else {
-      usage(stderr);
-      return 2;
-    }
-  }
-  if (dir == nullptr) {
-    std::fprintf(stderr, "imac_run import-model: checkpoint directory is required\n");
-    return 2;
-  }
+  if (args.operands().empty()) throw UsageError("checkpoint directory is required");
+  const char* dir = args.operands()[0];
   const workloads::ModelGraph graph = workloads::import_model(dir);
-  if (json) {
+  if (args.has("--json")) {
     std::printf("%s\n", suite_json(graph, true).dump().c_str());
     return 0;
   }
@@ -929,31 +555,12 @@ int print_rollup_report(const indexmac::core::SweepReport& report) {
   return 0;
 }
 
-int cmd_report(int argc, char** argv) {
+int cmd_report(const cli::Args& args) {
   using namespace indexmac;
-  bool rollup = false;
-  const char* path = nullptr;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--rollup") == 0) rollup = true;
-    else if (argv[i][0] != '-' && path == nullptr) path = argv[i];
-    else {
-      usage(stderr);
-      return 2;
-    }
-  }
-  if (path == nullptr) {
-    usage(stderr);
-    return 2;
-  }
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    std::fprintf(stderr, "imac_run report: cannot open %s\n", path);
-    return 1;
-  }
-  std::stringstream buf;
-  buf << file.rdbuf();
-  const core::SweepReport report = core::parse_csv_report(buf.str());
-  if (rollup) return print_rollup_report(report);
+  if (args.operands().empty()) throw UsageError("a sweep CSV file is required");
+  const core::SweepReport report =
+      core::parse_csv_report(read_text_file(args.operands()[0]));
+  if (args.has("--rollup")) return print_rollup_report(report);
 
   const auto pairs = pair_by_role(
       report.rows,
@@ -993,14 +600,12 @@ int cmd_report(int argc, char** argv) {
     }
     const core::SweepRow& shown =
         pair.proposed != nullptr ? *pair.proposed : *pair.any;
-    const char* df = p.config.kernel.dataflow == kernels::Dataflow::kAStationary   ? "a"
-                     : p.config.kernel.dataflow == kernels::Dataflow::kBStationary ? "b"
-                                                                                   : "c";
     std::vector<std::string> cells = {
         p.suite, p.workload,
         std::to_string(p.dims.rows_a) + "x" + std::to_string(p.dims.k) + "x" +
             std::to_string(p.dims.cols_b),
-        workloads::sparsity_label(p.sp), df, std::to_string(p.config.kernel.unroll),
+        workloads::sparsity_label(p.sp), kernels::dataflow_id(p.config.kernel.dataflow),
+        std::to_string(p.config.kernel.unroll),
         core::AlgorithmRegistry::instance().by_algorithm(shown.point.config.algorithm).id,
         cycles, fmt_count(shown.data_accesses), speedup};
     if (any_v2) {
@@ -1019,51 +624,206 @@ int cmd_report(int argc, char** argv) {
   return 0;
 }
 
-bool is_subcommand(const char* s) { return find_subcommand_doc(s) != nullptr; }
+
+const cli::Flag kRunFlags[] = {
+    {"--timing", nullptr, "run on the cycle-level timing model"},
+    {"--trace", nullptr, "print each executed instruction (functional mode; not with --timing)"},
+    {"--max-steps", "N", "stop after N instructions (default 100000000)"},
+    {"--dump-regs", nullptr, "print architectural registers on exit"},
+    {"--engine", "E",
+     "functional engine: \"interp\" (default) or \"threaded\" (predecoded threaded code; "
+     "identical results, faster; --trace requires interp). No effect with --timing, which "
+     "always runs on the threaded engine's block trace"},
+    kThreadsFlag,
+};
+
+const cli::Flag kSweepFlags[] = {
+    {"--spec", "FILE", "sweep spec JSON (required)"},
+    {"--out", "FILE", "write the report here (default stdout)"},
+    cli::kFormatFlag,
+    kThreadsFlag,
+    {"--store", "DIR",
+     "journal every completed point to DIR/results.journal (append-only, CRC-checked; "
+     "survives a killed run)"},
+    {"--resume", nullptr,
+     "with --store: serve already-journaled points from the store and simulate only what is "
+     "missing"},
+    {"--fsync", nullptr,
+     "with --store: fsync the journal after every record (survives power loss, not just "
+     "process death)"},
+    {"--shard", "i/N",
+     "run only shard i of N: points are partitioned by digest (fnv1a(key) % N == i-1), so N "
+     "processes with disjoint shards cover the grid exactly once"},
+    {"--import", "DIR",
+     "register the checkpoint in DIR (see import-model) before parsing the spec, so specs "
+     "can sweep it",
+     true},
+    {"--rollup", nullptr,
+     "append whole-network totals to the report: a \"# rollup\" CSV section / \"rollup\" JSON "
+     "key with count-weighted end-to-end cycles and a bytes-moved energy proxy per (suite x "
+     "sparsity x config)"},
+};
+
+const cli::Flag kWorkerFlags[] = {
+    {"--port", "N", "daemon port"},
+    {"--port-file", "F",
+     "read the port from F (as written by imac_serve --port-file), waiting for it to appear"},
+    {"--host", "A", "daemon address (default 127.0.0.1)"},
+    {"--name", "W", "this worker's name in the daemon's log lines (default worker)"},
+    {"--heartbeat-ms", "N", "heartbeat cadence while simulating (default 1000)"},
+    {"--poll-ms", "N",
+     "delay before asking again after the daemon answers \"drain\" (default 200)"},
+    {"--backoff-base-ms", "N", "first reconnect delay; later ones grow exponentially (default 50)"},
+    {"--backoff-cap-ms", "N", "longest reconnect delay (default 2000)"},
+    {"--give-up-ms", "N",
+     "give up after N ms without a reachable daemon (default 120000); also bounds the "
+     "--port-file wait"},
+    {"--quiet", nullptr, "suppress the per-lease stderr notes"},
+    {"--chaos-kill-after", "N", "fault injection for tests: SIGKILL self before sending result N"},
+    {"--chaos-drop-after", "N",
+     "fault injection for tests: drop the connection mid-record at result N"},
+    {"--chaos-stall-after", "N",
+     "fault injection for tests: after sending result N, stall without heartbeats for "
+     "--chaos-stall-ms"},
+    {"--chaos-stall-ms", "N", "length of that stall; make it longer than the lease deadline"},
+};
+
+const cli::Flag kMergeFlags[] = {
+    {"--spec", "FILE", "sweep spec JSON the shards ran (required)"},
+    {"--store", "DIR", "a shard's result store", true},
+    {"--out", "FILE", "write the report here (default stdout)"},
+    cli::kFormatFlag,
+    {"--import", "DIR", "register the checkpoint in DIR, as sweep --import does", true},
+};
+
+const cli::Flag kGdbFlags[] = {
+    {"--port", "N",
+     "listen port (default 0 = kernel-assigned; the bound port is printed to stderr)"},
+    {"--port-file", "F",
+     "also write the bound port to F (harness handshake, same contract as imac_serve "
+     "--port-file)"},
+    {"--engine", "E", "execution engine: \"interp\" (default) or \"threaded\""},
+    {"--quiet", nullptr, "suppress the listening/connected stderr notes"},
+};
+
+const cli::Flag kListWorkloadsFlags[] = {
+    {"--json", nullptr,
+     "emit a machine-readable listing (name, display name, layer count, total MACs, default "
+     "sparsities) for tooling"},
+};
+
+const cli::Flag kImportModelFlags[] = {
+    {"--json", nullptr, "emit the imported model and its per-layer sparsity as JSON"},
+};
+
+const cli::Flag kReportFlags[] = {
+    {"--rollup", nullptr,
+     "print whole-network totals instead: per (suite x sparsity x config), count-weighted "
+     "end-to-end cycles, data accesses and the bytes-moved energy proxy (accesses x 64, a "
+     "cache-line-granularity upper bound)"},
+};
+
+const cli::Command kCommands[] = {
+    {"run", "assemble and execute a text-assembly program", "file.s", 1,
+     "Assembles file.s (the library's RISC-V subset, including vindexmac.vx) and executes it; "
+     "programs halt with ebreak.",
+     kRunFlags, cmd_run},
+    {"sweep", "run a declarative sweep spec and emit a CSV/JSON report", "", 0,
+     "Runs the sweep described by --spec (see README: sweep specs) on a parallel BatchRunner "
+     "pool and writes the report to stdout or --out.\n\n"
+     "SIGINT/SIGTERM stop gracefully: queued points are skipped, in-flight points finish and "
+     "journal, and the run exits 130 with a resume hint (rerun with --resume).",
+     kSweepFlags, cmd_sweep},
+    {"worker", "join an imac_serve daemon as a fault-tolerant sweep worker", "", 0,
+     "Joins an imac_serve daemon as a sweep worker: leases grid points, measures them, "
+     "streams results back, and reconnects with capped exponential backoff when the daemon "
+     "goes away. Give exactly one of --port and --port-file.\n\n"
+     "Exits 0 when the daemon reports the grid complete, 3 after --give-up-ms without a "
+     "reachable daemon, 130 on SIGINT.",
+     kWorkerFlags, cmd_worker},
+    {"merge", "fuse shard stores/reports into the canonical report", "[shard.csv]...",
+     cli::kMany,
+     "Fuses shard stores and/or shard CSV reports into the canonical report of --spec, "
+     "byte-identical to a single-process sweep. Conflicting or missing points abort with an "
+     "error. Stores keep full double precision; shard CSVs round sampled-mode cycles to 2 "
+     "decimals, so for sampled sweeps merge from stores (CSV inputs still give byte-exact CSV "
+     "output, but not JSON, and must not overlap a store's points).",
+     kMergeFlags, cmd_merge},
+    {"gdb", "serve a GDB remote-debug session over a program", "file.s", 1,
+     "Assembles file.s and serves ONE GDB remote-serial-protocol debug session on 127.0.0.1 "
+     "(registers x0..x31/pc/f/v/vl, memory, software breakpoints, continue/step, Ctrl-C "
+     "interrupt). Connect a RISC-V-aware gdb with `target remote :PORT`, or script it with "
+     "tools/rsp_client.py. Breakpoints are pc-checks, never program patches: architectural "
+     "results match an undebugged run exactly, and with --engine threaded only breakpointed "
+     "blocks drop to interpreter stepping.\n\n"
+     "monitor commands (gdb `monitor ...`): markers (pc of each marker instruction), symbols "
+     "(label addresses), retired (instruction count), engine, fault (text of the last "
+     "execution fault).\n\n"
+     "Exits 0 when the debugger detaches, kills, or disconnects; 130 on SIGINT/SIGTERM.",
+     kGdbFlags, cmd_gdb},
+    {"list-workloads", "show registered workload suites (or one suite's layers)", "[suite]", 1,
+     "Lists the registered workload suites, or one suite's layers.", kListWorkloadsFlags,
+     cmd_list_workloads},
+    {"list-algorithms", "show registered kernel families", "", 0,
+     "Lists the registered kernel families: id (as used in sweep specs and CSV reports), "
+     "display name, report pairing role, and whether sampled sweep mode supports the family.",
+     {}, cmd_list_algorithms},
+    {"import-model", "load a pruned checkpoint and print measured sparsity", "DIR", 1,
+     "Loads the checkpoint in DIR (model.json manifest + IMACTNSR tensor blobs, f32/f16; see "
+     "README: model import) and prints each layer's measured sparsity: nonzero density, N:M "
+     "block conformity against the declared pattern, and ELLPACK row-imbalance. Sweep it with "
+     "`sweep --import DIR` and a spec naming the model.",
+     kImportModelFlags, cmd_import_model},
+    {"report", "pretty-print a sweep CSV with paired speedup columns", "file.csv", 1,
+     "Pretty-prints a sweep CSV; rows measured with both kernels are paired into a speedup "
+     "column (standalone families keep their own rows).",
+     kReportFlags, cmd_report},
+};
+
+// Requested help goes to stdout (exit 0); usage errors go to stderr (the
+// summary only — `imac_run <sub> --help` has the details).
+void usage(std::FILE* out) {
+  std::fprintf(out, "usage: imac_run <subcommand> [args]\n\nsubcommands:\n");
+  for (const cli::Command& command : kCommands)
+    std::fprintf(out, "  %-16s %s\n", command.name, command.summary);
+  std::fprintf(out,
+               "\n"
+               "`imac_run <subcommand> --help` shows that subcommand's flags;\n"
+               "`imac_run --help` shows every subcommand's flags.\n"
+               "  -h, --help     show this help and exit\n");
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  const cli::Command* command = nullptr;
+  std::string known;
+  for (const cli::Command& row : kCommands) {
+    if (argc >= 2 && std::strcmp(row.name, argv[1]) == 0) command = &row;
+    known += known.empty() ? row.name : std::string(", ") + row.name;
+  }
   // `imac_run <sub> --help` prints that subcommand's section; `--help`
   // anywhere else prints everything.
-  const bool named = argc >= 2 && is_subcommand(argv[1]);
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
-      if (named) {
-        std::printf("usage: imac_run <subcommand> [args]\n\n%s",
-                    find_subcommand_doc(argv[1])->help);
-      } else {
-        usage_full(stdout);
-      }
+  if (cli::wants_help(argc, argv)) {
+    if (command != nullptr) {
+      cli::print_help(stdout, std::string("imac_run ") + command->name, *command);
       return 0;
     }
+    usage(stdout);
+    for (const cli::Command& row : kCommands) {
+      std::printf("\n");
+      cli::print_help(stdout, std::string("imac_run ") + row.name, row);
+    }
+    return 0;
+  }
   if (argc < 2) {
     usage(stderr);
     return 2;
   }
-
-  try {
-    if (named) {
-      const char* cmd = argv[1];
-      char** rest = argv + 2;
-      const int nrest = argc - 2;
-      if (std::strcmp(cmd, "run") == 0) return cmd_run(nrest, rest);
-      if (std::strcmp(cmd, "sweep") == 0) return cmd_sweep(nrest, rest);
-      if (std::strcmp(cmd, "worker") == 0) return cmd_worker(nrest, rest);
-      if (std::strcmp(cmd, "merge") == 0) return cmd_merge(nrest, rest);
-      if (std::strcmp(cmd, "gdb") == 0) return cmd_gdb(nrest, rest);
-      if (std::strcmp(cmd, "list-workloads") == 0) return cmd_list_workloads(nrest, rest);
-      if (std::strcmp(cmd, "list-algorithms") == 0) return cmd_list_algorithms(nrest, rest);
-      if (std::strcmp(cmd, "import-model") == 0) return cmd_import_model(nrest, rest);
-      return cmd_report(nrest, rest);
-    }
-    // Historical interface: flags + a .s file, no subcommand.
-    return cmd_run(argc - 1, argv + 1);
-  } catch (const indexmac::UsageError& e) {
-    std::fprintf(stderr, "imac_run: %s\n", e.what());
+  if (command == nullptr) {
+    std::fprintf(stderr, "imac_run: unknown subcommand \"%s\" (known: %s)\n", argv[1],
+                 known.c_str());
     return 2;
-  } catch (const indexmac::SimError& e) {
-    std::fprintf(stderr, "imac_run: %s\n", e.what());
-    return 1;
   }
+  return cli::run(*command, std::string("imac_run ") + command->name, argc - 2, argv + 2);
 }

@@ -3,121 +3,85 @@
 // src/serve/protocol.h for the wire format; workers are `imac_run worker`.
 #include <atomic>
 #include <csignal>
-#include <cstdio>
-#include <cstring>
 #include <limits>
 
+#include "cli.h"
 #include "common/error.h"
-#include "common/format.h"
 #include "serve/daemon.h"
 
 namespace {
+
+namespace cli = indexmac::cli;
 
 std::atomic<bool> g_stop{false};
 
 extern "C" void handle_stop_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
 
-void usage(std::FILE* out) {
-  std::fprintf(out,
-               "usage: imac_serve --spec spec.json --store DIR [options]\n"
-               "\n"
-               "Serves one sweep spec to `imac_run worker` processes over TCP\n"
-               "(127.0.0.1): workers lease grid points, results are journaled to\n"
-               "DIR/results.journal BEFORE they are acknowledged, expired leases are\n"
-               "re-leased to live workers, and when the grid is fully journaled the\n"
-               "canonical report — byte-identical to `imac_run sweep` of the same\n"
-               "spec — is written and the daemon exits 0. A spec already covered by\n"
-               "the store is served straight from the journal (\"0 new\n"
-               "simulations\") without opening a port.\n"
-               "\n"
-               "options:\n"
-               "  --spec FILE      sweep spec JSON (required)\n"
-               "  --store DIR      persistent result journal (required)\n"
-               "  --out FILE       write the final report here (default stdout)\n"
-               "  --format F       report format: csv (default) | json\n"
-               "  --port N         listen port (default 0 = kernel-assigned)\n"
-               "  --port-file F    write the bound port to F (harness handshake)\n"
-               "  --lease-ms N     lease deadline: a lease with no heartbeat or\n"
-               "                   result for N ms is re-queued (default 5000)\n"
-               "  --batch N        points granted per lease (default 4)\n"
-               "  --fsync          fsync the journal after every record (records\n"
-               "                   survive power loss, not just process death)\n"
-               "  --progress-ms N  progress/ETA stream interval (default 1000)\n"
-               "  --grace-ms N     post-completion window answering \"complete\" to\n"
-               "                   late workers (default 500)\n"
-               "  --wall-ms N      abort (exit 3) after N ms; 0 = unlimited\n"
-               "  -h, --help       show this help and exit\n"
-               "\n"
-               "SIGINT/SIGTERM stop gracefully: no new leases, in-flight results\n"
-               "still journal, then exit 130 with a resume hint (rerun with the\n"
-               "same --store; already-journaled points are never re-simulated).\n");
+int serve(const cli::Args& args) {
+  using namespace indexmac;
+  serve::ServeOptions opts;
+  opts.spec_path = args.get("--spec", "");
+  opts.store_dir = args.get("--store", "");
+  opts.out_path = args.get("--out", "");
+  opts.json = cli::json_format(args);
+  opts.port = static_cast<std::uint16_t>(
+      args.uint("--port", 0, std::numeric_limits<std::uint16_t>::max()));
+  opts.port_file = args.get("--port-file", "");
+  opts.scheduler.lease_ms = args.uint("--lease-ms", opts.scheduler.lease_ms);
+  opts.scheduler.batch = static_cast<std::uint32_t>(
+      args.uint("--batch", opts.scheduler.batch, std::numeric_limits<std::uint32_t>::max()));
+  if (args.has("--fsync")) opts.durability = core::Durability::kFsyncEach;
+  opts.progress_ms = args.uint("--progress-ms", opts.progress_ms);
+  opts.grace_ms = args.uint("--grace-ms", opts.grace_ms);
+  opts.wall_ms = args.uint("--wall-ms", opts.wall_ms);
+  if (opts.spec_path.empty() || opts.store_dir.empty())
+    throw UsageError("--spec and --store are required");
+  if (opts.scheduler.batch == 0) throw UsageError("--batch must be at least 1");
+  std::signal(SIGINT, handle_stop_signal);
+  std::signal(SIGTERM, handle_stop_signal);
+  opts.stop = &g_stop;
+  return serve::run_daemon(opts);
 }
+
+const cli::Flag kServeFlags[] = {
+    {"--spec", "FILE", "sweep spec JSON (required)"},
+    {"--store", "DIR", "persistent result journal (required)"},
+    {"--out", "FILE", "write the final report here (default stdout)"},
+    cli::kFormatFlag,
+    {"--port", "N", "listen port (default 0 = kernel-assigned)"},
+    {"--port-file", "F", "write the bound port to F (harness handshake)"},
+    {"--lease-ms", "N",
+     "lease deadline: a lease with no heartbeat or result for N ms is re-queued (default "
+     "5000)"},
+    {"--batch", "N", "points granted per lease (default 4)"},
+    {"--fsync", nullptr,
+     "fsync the journal after every record (records survive power loss, not just process "
+     "death)"},
+    {"--progress-ms", "N", "progress/ETA stream interval (default 1000)"},
+    {"--grace-ms", "N",
+     "post-completion window answering \"complete\" to late workers (default 500)"},
+    {"--wall-ms", "N", "abort (exit 3) after N ms; 0 = unlimited"},
+};
+
+const cli::Command kServe = {
+    "imac_serve", "serve a sweep spec to imac_run workers", "", 0,
+    "Serves one sweep spec to `imac_run worker` processes over TCP (127.0.0.1): workers "
+    "lease grid points, results are journaled to DIR/results.journal BEFORE they are "
+    "acknowledged, expired leases are re-leased to live workers, and when the grid is fully "
+    "journaled the canonical report (byte-identical to `imac_run sweep` of the same spec) is "
+    "written and the daemon exits 0. A spec already covered by the store is served straight "
+    "from the journal (\"0 new simulations\") without opening a port.\n\n"
+    "SIGINT/SIGTERM stop gracefully: no new leases, in-flight results still journal, then "
+    "exit 130 with a resume hint (rerun with the same --store; already-journaled points are "
+    "never re-simulated).",
+    kServeFlags, serve};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace indexmac;
-  serve::ServeOptions opts;
-
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
-      usage(stdout);
-      return 0;
-    }
+  if (cli::wants_help(argc, argv)) {
+    cli::print_help(stdout, "imac_serve", kServe);
+    return 0;
   }
-  try {
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--spec") == 0 && i + 1 < argc) opts.spec_path = argv[++i];
-      else if (std::strcmp(argv[i], "--store") == 0 && i + 1 < argc) opts.store_dir = argv[++i];
-      else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) opts.out_path = argv[++i];
-      else if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc)
-        opts.port = static_cast<std::uint16_t>(
-            parse_uint(argv[++i], "--port", std::numeric_limits<std::uint16_t>::max()));
-      else if (std::strcmp(argv[i], "--port-file") == 0 && i + 1 < argc)
-        opts.port_file = argv[++i];
-      else if (std::strcmp(argv[i], "--lease-ms") == 0 && i + 1 < argc)
-        opts.scheduler.lease_ms = parse_uint(argv[++i], "--lease-ms");
-      else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc)
-        opts.scheduler.batch = static_cast<std::uint32_t>(
-            parse_uint(argv[++i], "--batch", std::numeric_limits<std::uint32_t>::max()));
-      else if (std::strcmp(argv[i], "--fsync") == 0)
-        opts.durability = core::Durability::kFsyncEach;
-      else if (std::strcmp(argv[i], "--progress-ms") == 0 && i + 1 < argc)
-        opts.progress_ms = parse_uint(argv[++i], "--progress-ms");
-      else if (std::strcmp(argv[i], "--grace-ms") == 0 && i + 1 < argc)
-        opts.grace_ms = parse_uint(argv[++i], "--grace-ms");
-      else if (std::strcmp(argv[i], "--wall-ms") == 0 && i + 1 < argc)
-        opts.wall_ms = parse_uint(argv[++i], "--wall-ms");
-      else if (std::strcmp(argv[i], "--format") == 0 && i + 1 < argc) {
-        const char* fmt = argv[++i];
-        if (std::strcmp(fmt, "json") == 0) opts.json = true;
-        else if (std::strcmp(fmt, "csv") == 0) opts.json = false;
-        else {
-          std::fprintf(stderr, "imac_serve: unknown format %s (csv|json)\n", fmt);
-          return 2;
-        }
-      } else {
-        usage(stderr);
-        return 2;
-      }
-    }
-    if (opts.spec_path.empty() || opts.store_dir.empty()) {
-      std::fprintf(stderr, "imac_serve: --spec and --store are required\n");
-      return 2;
-    }
-    if (opts.scheduler.batch == 0) {
-      std::fprintf(stderr, "imac_serve: --batch must be at least 1\n");
-      return 2;
-    }
-    std::signal(SIGINT, handle_stop_signal);
-    std::signal(SIGTERM, handle_stop_signal);
-    opts.stop = &g_stop;
-    return serve::run_daemon(opts);
-  } catch (const UsageError& e) {
-    std::fprintf(stderr, "imac_serve: %s\n", e.what());
-    return 2;
-  } catch (const SimError& e) {
-    std::fprintf(stderr, "imac_serve: %s\n", e.what());
-    return 1;
-  }
+  return cli::run(kServe, "imac_serve", argc - 1, argv + 1);
 }
