@@ -35,6 +35,7 @@
 #include "isa/encoding.h"
 #include "timing/timing_sim.h"
 #include "timing/trace.h"
+#include "timing_programs.h"
 #include "trace_reference.h"
 #include "workloads/workloads.h"
 
@@ -682,6 +683,33 @@ std::string timing_golden_csv() {
       MainMemory mem;
       const core::PreparedRun run = core::prepare(problem, config, mem);
       out += timing_rows(name + (markers ? ".markers" : ""), run.program, mem);
+    }
+  }
+
+  // Repeated units whose state or inputs differ in one respect at a time
+  // (tests/timing_programs.h), and shrunk multi-strip layers, where the
+  // same kernel blocks recur strip after strip.
+  plain("repeat.store_forward", timing_programs::store_forward_program());
+  plain("repeat.branchy", timing_programs::branchy_program());
+  plain("repeat.ssr_reuse", timing_programs::ssr_reuse_program());
+  plain("repeat.gather", timing_programs::gather_program());
+  plain("repeat.pressure", timing_programs::pressure_program());
+  plain("repeat.dram_stream", timing_programs::dram_stream_program());
+  for (const std::uint32_t seed : {1u, 2u, 3u, 4u})
+    plain("repeat.looped_random." + std::to_string(seed),
+          timing_programs::looped_random_program(seed));
+  const kernels::GemmDims layer{16, 64, 48};
+  for (const char* id : {"rowwise", "indexmac", "indexmac4", "ssr"}) {
+    for (const sparse::Sparsity sp : {sparse::kSparsity14, sparse::kSparsity24}) {
+      const core::SpmmProblem problem = core::SpmmProblem::random(layer, sp, 7);
+      core::RunConfig config;
+      config.algorithm = core::AlgorithmRegistry::instance().by_id(id).algorithm;
+      config.kernel.unroll = config.algorithm == core::Algorithm::kSsr ? 1 : 4;  // SSR: u1 only
+      MainMemory mem;
+      const core::PreparedRun run = core::prepare(problem, config, mem);
+      out += timing_rows("layer.16x64x48." + std::to_string(sp.n) + "of" + std::to_string(sp.m) +
+                             "." + id + ".u" + std::to_string(config.kernel.unroll),
+                         run.program, mem);
     }
   }
   return out;
