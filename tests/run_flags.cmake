@@ -31,4 +31,8 @@ expect_rc(2 "unknown subcommand" ${program})
 expect_rc(2 "imac_run sweep: unknown flag --bogus" sweep --bogus)
 expect_rc(2 "imac_run sweep: unknown flag --engine" sweep --engine threaded)
 expect_rc(2 "imac_run sweep: --spec expects a value" sweep --spec)
-expect_rc(2 "imac_run run: --threads must be an integer" run --threads 0 ${program})
+expect_rc(2 "imac_run sweep: --threads must be an integer" sweep --threads 0)
+# run times one program and batches nothing, so it takes no --threads.
+expect_rc(2 "imac_run run: unknown flag --threads" run --threads 2 ${program})
+expect_rc(2 "imac_run run: unknown execution engine \"bogus\"" run --engine bogus ${program})
+expect_rc(2 "imac_run gdb: unknown execution engine \"bogus\"" gdb --engine bogus ${program})

@@ -48,7 +48,7 @@ void install_stop_handlers() {
   std::signal(SIGTERM, handle_stop_signal);
 }
 
-/// --threads N, shared by run and sweep.
+/// --threads N: sweep's pool width.
 constexpr cli::Flag kThreadsFlag{
     "--threads", "N",
     "worker-pool width for batched work, 1 to 1024: the same rule as the "
@@ -70,10 +70,15 @@ void dump_registers(const indexmac::ArchState& state) {
   std::printf("  vl=%u\n", state.vl);
 }
 
-/// The engine --engine names (parse_exec_engine raises listing the names).
+/// The engine --engine names; an unknown name is a usage error.
 indexmac::ExecEngine engine_flag(const cli::Args& args) {
   const char* engine = args.get("--engine");
-  return engine == nullptr ? indexmac::ExecEngine::kInterp : indexmac::parse_exec_engine(engine);
+  if (engine == nullptr) return indexmac::ExecEngine::kInterp;
+  try {
+    return indexmac::parse_exec_engine(engine);
+  } catch (const indexmac::SimError& e) {
+    throw indexmac::UsageError(e.what());
+  }
 }
 
 /// The one .s operand of run and gdb, assembled.
@@ -88,7 +93,6 @@ int cmd_run(const cli::Args& args) {
   const bool trace = args.has("--trace");
   const std::uint64_t max_steps = args.uint("--max-steps", 100'000'000);
   const ExecEngine engine = engine_flag(args);
-  apply_threads(args);
   // The Tracer drives Machine::step itself; silently ignoring --engine
   // would misreport what executed.
   if (trace && engine == ExecEngine::kThreaded)
@@ -634,7 +638,6 @@ const cli::Flag kRunFlags[] = {
      "functional engine: \"interp\" (default) or \"threaded\" (predecoded threaded code; "
      "identical results, faster; --trace requires interp). No effect with --timing, which "
      "always runs on the threaded engine's block trace"},
-    kThreadsFlag,
 };
 
 const cli::Flag kSweepFlags[] = {
