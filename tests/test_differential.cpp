@@ -698,17 +698,23 @@ std::string timing_golden_csv() {
   for (const std::uint32_t seed : {1u, 2u, 3u, 4u})
     plain("repeat.looped_random." + std::to_string(seed),
           timing_programs::looped_random_program(seed));
-  const kernels::GemmDims layer{16, 64, 48};
-  for (const char* id : {"rowwise", "indexmac", "indexmac4", "ssr"}) {
+  // Each layer is sized to run past the model's 2^18-instruction memo warm-up.
+  const std::pair<const char*, kernels::GemmDims> layers[] = {{"rowwise", {128, 256, 80}},
+                                                               {"indexmac", {128, 256, 96}},
+                                                               {"indexmac4", {256, 256, 96}},
+                                                               {"ssr", {384, 256, 96}}};
+  for (const auto& [id, dims] : layers) {
     for (const sparse::Sparsity sp : {sparse::kSparsity14, sparse::kSparsity24}) {
-      const core::SpmmProblem problem = core::SpmmProblem::random(layer, sp, 7);
+      const core::SpmmProblem problem = core::SpmmProblem::random(dims, sp, 7);
       core::RunConfig config;
       config.algorithm = core::AlgorithmRegistry::instance().by_id(id).algorithm;
       config.kernel.unroll = config.algorithm == core::Algorithm::kSsr ? 1 : 4;  // SSR: u1 only
       MainMemory mem;
       const core::PreparedRun run = core::prepare(problem, config, mem);
-      out += timing_rows("layer.16x64x48." + std::to_string(sp.n) + "of" + std::to_string(sp.m) +
-                             "." + id + ".u" + std::to_string(config.kernel.unroll),
+      out += timing_rows("layer." + std::to_string(dims.rows_a) + "x" + std::to_string(dims.k) +
+                             "x" + std::to_string(dims.cols_b) + "." + std::to_string(sp.n) +
+                             "of" + std::to_string(sp.m) + "." + id + ".u" +
+                             std::to_string(config.kernel.unroll),
                          run.program, mem);
     }
   }

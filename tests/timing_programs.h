@@ -3,10 +3,12 @@
 // store-to-load forwarding, data-dependent branch outcomes, SSR line-buffer
 // reuse, gathers at varying vl, full ROB/LSQ/vector queues with issue-port
 // pressure, and a DRAM-bound stream that overflows the in-flight fill
-// table. Each loop body is one or a few threaded-engine blocks, run many
-// times from an outer loop whose inner-loop exit mispredicts, so the same
-// unit recurs at the same slot with varied state. Pinned by the timing
-// golden (test_differential.cpp).
+// table. Each loop body is one or a few threaded-engine blocks of at least
+// 24 instructions, run many times from an outer loop whose inner-loop exit
+// mispredicts, so the same unit recurs at the same slot with varied state.
+// Each program runs 300k to 500k instructions: the timing model replays
+// repeated units only past its first 2^18 instructions (timing_sim.cpp).
+// Pinned by the timing golden (test_differential.cpp).
 #pragma once
 
 #include <cstdint>
@@ -27,7 +29,7 @@ inline Program store_forward_program() {
   const Assembler::Label outer = a.new_label();
   const Assembler::Label inner = a.new_label();
   a.li(x(1), kData);
-  a.li(x(20), 60);
+  a.li(x(20), 6000);
   a.li(x(22), 0);
   a.li(x(7), 5);
   a.bind(outer);
@@ -44,7 +46,8 @@ inline Program store_forward_program() {
   a.lw(x(10), x(1), 20);
   a.add(x(11), x(10), x(8));
   a.addi(x(22), x(22), 8);
-  a.addi(x(12), x(12), 1);
+  for (unsigned r = 12; r <= 19; ++r) a.addi(x(r), x(r), static_cast<std::int32_t>(r));
+  for (unsigned r = 12; r <= 19; ++r) a.xor_(x(r), x(r), x(11));
   a.addi(x(21), x(21), -1);
   a.bne(x(21), x(0), inner);
   a.addi(x(20), x(20), -1);
@@ -62,7 +65,7 @@ inline Program branchy_program() {
   const Assembler::Label skip = a.new_label();
   a.li(x(10), 12345);
   a.li(x(13), 1103515245);
-  a.li(x(20), 80);
+  a.li(x(20), 2000);
   a.bind(outer);
   a.li(x(21), 4);
   a.bind(inner);
@@ -70,14 +73,20 @@ inline Program branchy_program() {
   a.addi(x(10), x(10), 123);
   a.srli(x(11), x(10), 16);
   a.andi(x(11), x(11), 1);
-  for (unsigned r = 3; r <= 8; ++r) a.addi(x(r), x(r), static_cast<std::int32_t>(r));
+  for (unsigned r = 3; r <= 9; ++r) a.addi(x(r), x(r), static_cast<std::int32_t>(r));
+  for (unsigned r = 3; r <= 9; ++r) a.mul(x(r), x(r), x(13));
+  for (unsigned r = 3; r <= 9; ++r) a.add(x(r), x(r), x(10));
   a.beq(x(11), x(0), skip);
   a.addi(x(14), x(14), 3);
   a.mul(x(15), x(14), x(14));
-  for (unsigned r = 3; r <= 8; ++r) a.add(x(r), x(r), x(15));
+  for (unsigned r = 3; r <= 9; ++r) a.add(x(r), x(r), x(15));
+  for (unsigned r = 3; r <= 9; ++r) a.xor_(x(r), x(r), x(14));
+  for (unsigned r = 3; r <= 9; ++r) a.addi(x(r), x(r), 5);
   a.bind(skip);
   a.addi(x(16), x(16), 1);
-  for (unsigned r = 3; r <= 8; ++r) a.xor_(x(r), x(r), x(16));
+  for (unsigned r = 3; r <= 9; ++r) a.xor_(x(r), x(r), x(16));
+  for (unsigned r = 3; r <= 9; ++r) a.add(x(r), x(r), x(11));
+  for (unsigned r = 3; r <= 9; ++r) a.addi(x(r), x(r), -3);
   a.addi(x(21), x(21), -1);
   a.bne(x(21), x(0), inner);
   a.addi(x(20), x(20), -1);
@@ -100,7 +109,7 @@ inline Program ssr_reuse_program() {
   a.li(x(3), kData + 0x4000);
   a.li(x(4), 4096);
   a.li(x(5), 3);
-  a.li(x(20), 6);
+  a.li(x(20), 220);
   a.bind(outer);
   a.ssrcfg(0, x(2), x(4));
   a.ssrcfg(1, x(3), x(4));
@@ -109,8 +118,12 @@ inline Program ssr_reuse_program() {
   a.bind(inner);
   a.vindexmacs_v(v(1));
   for (unsigned r = 6; r <= 15; ++r) a.addi(x(r), x(r), static_cast<std::int32_t>(r));
+  for (unsigned r = 6; r <= 15; ++r) a.mul(x(r), x(r), x(r - 1));
+  for (unsigned r = 6; r <= 15; ++r) a.xor_(x(r), x(r), x(20));
   a.vindexmacs_v(v(2));
   for (unsigned r = 6; r <= 15; ++r) a.add(x(r), x(r), x(r - 1));
+  for (unsigned r = 6; r <= 15; ++r) a.addi(x(r), x(r), 7);
+  for (unsigned r = 6; r <= 15; ++r) a.mul(x(r), x(r), x(21));
   a.addi(x(21), x(21), -1);
   a.bne(x(21), x(0), inner);
   a.addi(x(2), x(2), 256);
@@ -137,7 +150,7 @@ inline Program gather_program() {
   a.vslide1down_vx(v(2), v(2), x(6));
   a.addi(x(7), x(7), -1);
   a.bne(x(7), x(0), fill);
-  a.li(x(20), 30);
+  a.li(x(20), 7000);
   a.bind(outer);
   a.li(x(21), 3);
   a.bind(inner);
@@ -153,7 +166,7 @@ inline Program gather_program() {
   a.add(x(10), x(10), x(8));
   a.vsetvli_e32m1(x(0), x(1));
   a.vadd_vv(v(6), v(6), v(5));
-  a.addi(x(11), x(11), 1);
+  for (unsigned r = 11; r <= 19; ++r) a.addi(x(r), x(r), static_cast<std::int32_t>(r));
   a.addi(x(21), x(21), -1);
   a.bne(x(21), x(0), inner);
   a.addi(x(20), x(20), -1);
@@ -176,7 +189,7 @@ inline Program pressure_program() {
   a.li(x(2), kData);
   a.li(x(13), 1103515245);
   a.li(x(14), 99);
-  a.li(x(20), 24);
+  a.li(x(20), 1800);
   a.bind(outer);
   a.li(x(21), 3);
   a.bind(inner);
@@ -200,7 +213,7 @@ inline Program pressure_program() {
   return a.finish();
 }
 
-/// Vector loads streaming 4480 distinct lines from DRAM, more than the
+/// Vector loads streaming 176k distinct lines from DRAM, many times the
 /// 4096 in-flight fills the memory system tracks before it forgets them
 /// all, with a scalar load per iteration on the L1D path.
 inline Program dram_stream_program() {
@@ -209,11 +222,11 @@ inline Program dram_stream_program() {
   a.li(x(1), static_cast<std::int64_t>(isa::kVlMax));
   a.vsetvli_e32m1(x(0), x(1));
   a.li(x(2), kData);
-  a.li(x(3), kData + 0x200000);
-  a.li(x(20), 560);
+  a.li(x(3), kData + 0x2000000);
+  a.li(x(20), 11000);
   a.bind(loop);
-  for (unsigned i = 0; i < 8; ++i) {
-    a.vle32(v(1 + i), x(2));
+  for (unsigned i = 0; i < 16; ++i) {
+    a.vle32(v(1 + i % 8), x(2));
     a.addi(x(2), x(2), 64);
   }
   a.ld(x(4), x(3), 0);
@@ -239,7 +252,7 @@ inline Program looped_random_program(std::uint32_t seed) {
   a.vsetvli_e32m1(x(0), x(2));
   a.li(x(28), 1103515245);
   a.li(x(29), static_cast<std::int64_t>(seed) * 7 + 1);
-  a.li(x(30), 30);
+  a.li(x(30), 2000);
   a.bind(outer);
   a.andi(x(31), x(29), 3);
   a.addi(x(31), x(31), 2);
@@ -247,7 +260,7 @@ inline Program looped_random_program(std::uint32_t seed) {
   a.mul(x(29), x(29), x(28));
   a.addi(x(29), x(29), 77);
   a.srli(x(27), x(29), 18);  // pseudo-random bits for this iteration
-  const int body = pick(14, 30);
+  const int body = pick(30, 50);
   for (int i = 0; i < body; ++i) {
     const XReg rd = x(static_cast<unsigned>(pick(3, 15)));
     const XReg rs1 = x(static_cast<unsigned>(pick(3, 15)));
