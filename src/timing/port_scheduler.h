@@ -52,6 +52,14 @@ class InOrderPorts {
     return frontier_;
   }
 
+  /// The whole state: the latest claimed cycle and its claimed ports.
+  [[nodiscard]] std::uint64_t frontier() const { return frontier_; }
+  [[nodiscard]] unsigned used() const { return used_; }
+  void restore(std::uint64_t frontier, unsigned used) {
+    frontier_ = frontier;
+    used_ = used;
+  }
+
  private:
   unsigned width_;
   unsigned used_ = 0;           ///< ports claimed in frontier_
@@ -82,9 +90,26 @@ class PortScheduler {
       std::uint8_t& used = used_[cycle & mask_];
       if (used < width_) {
         ++used;
+        last_ = std::max(last_, cycle);
         return cycle;
       }
     }
+  }
+
+  /// First cycle of the window: requests before it are clamped to it.
+  [[nodiscard]] std::uint64_t base() const { return base_; }
+  [[nodiscard]] std::uint64_t window() const { return used_.size(); }
+  /// The latest cycle ever claimed. Every cycle of the window past it is
+  /// unclaimed.
+  [[nodiscard]] std::uint64_t last() const { return last_; }
+  /// Ports claimed in `cycle`, which must lie in the window.
+  [[nodiscard]] unsigned used_at(std::uint64_t cycle) const { return used_[cycle & mask_]; }
+  /// Claims `cycle` as claim() grants it, without the scan: for replaying
+  /// a request whose answer is known to be `cycle`.
+  void grant(std::uint64_t cycle) {
+    advance_window(cycle);
+    ++used_[cycle & mask_];
+    last_ = std::max(last_, cycle);
   }
 
  private:
@@ -107,6 +132,7 @@ class PortScheduler {
   std::uint64_t mask_;  ///< window size - 1
   std::vector<std::uint8_t> used_;
   std::uint64_t base_ = 0;
+  std::uint64_t last_ = 0;
 };
 
 /// A pool of N slots each held until a completion time (ROB, LSQ, queues).
@@ -133,6 +159,21 @@ class SlotPool {
     std::fill(free_at_.begin(), free_at_.end(), 0);
     next_ = 0;
   }
+
+  [[nodiscard]] std::size_t size() const { return free_at_.size(); }
+  /// Calls fn(first, count) on the release cycles of the slots the next
+  /// i .. i + n - 1 claims will take (i + n <= size()), as at most two
+  /// contiguous runs.
+  template <typename Fn>
+  void runs_ahead(std::size_t i, std::size_t n, Fn&& fn) {
+    std::size_t start = next_ + i;
+    if (start >= free_at_.size()) start -= free_at_.size();
+    const std::size_t head = std::min(n, free_at_.size() - start);
+    fn(free_at_.data() + start, head);
+    if (n > head) fn(free_at_.data(), n - head);
+  }
+  /// Moves the ring's next slot `by` slots on, as that many claims would.
+  void advance(std::size_t by) { next_ = (next_ + by) % free_at_.size(); }
 
  private:
   std::vector<std::uint64_t> free_at_;

@@ -35,6 +35,61 @@
 // ends or throws: counting through a reference would let each store alias
 // the model's other 64-bit state.
 //
+// Unit memo. Loop bodies recur as the same block from the same pipeline
+// state, give or take a shift in time, so each run keeps a memo of whole
+// units (timing/unit_memo.h; FastSim-style memoization after Schnarr and
+// Larus, ASPLOS 1998). A unit of at least 24 instructions whose slot has
+// started a unit before is keyed by
+//   * its slot and length;
+//   * the pipeline state it reads, relative to an anchor A: every register
+//     ready time it reads before writing, the slots it will claim of the
+//     ROB, LSQ and vector queues, the store-ring entries its loads
+//     overlap, the last-event cycles (commit, branch resolve, vector send,
+//     vsetvli, engine issue), the commit port's fill and the issue port's
+//     fills from A to its last claimed cycle, each timestamp t stored as
+//     max(t, A) - A;
+//   * the fetch state: E = max(fetch-blocked cycle, fetch frontier) and
+//     the ports claimed at E, relative to A, or only "behind" (below);
+//   * its pipeline-visible inputs: the vl it starts with and each
+//     vsetvli's result, the ready time of each VRF row read through
+//     x[rs1], the last op's branch outcome (a block's only branch ends
+//     it) and which in-flight stores each scalar load overlaps.
+// A is the earliest cycle the next instruction can dispatch at, less the
+// front-end depth: max(E, release of the oldest ROB slot - depth). Every
+// later dispatch is at least A + depth, because fetch and ROB releases
+// only grow, and every value the pipeline compares a stored timestamp
+// with derives from a dispatch cycle. So a timestamp at or below A acts
+// exactly as A would, and clamping at A is exact. The fetch frontier
+// itself is no anchor: fetch is not held back by the ROB, so it trails
+// the pipeline further with every instruction until a mispredict, and
+// state relative to it would never repeat. When the next fetch trails the
+// oldest ROB slot's release by more than the depth (and commit is no wider
+// than fetch), it cannot catch up before the next redirect: fetch then
+// advances one cycle per fetch-width instructions and the ROB one cycle
+// per commit-width commits, so every dispatch waits on the ROB, and the
+// key records only that fetch is behind.
+//
+// Memory is validated, not keyed: its timing state (banks, DRAM channel,
+// in-flight fills, tags) is large, and keying it would miss on every
+// stream that moves on. An entry holds, per response sequence seen (up to
+// four), the unit's memory requests as (op, gather element, relative
+// start) with the response the recording got, its markers' commit cycles
+// and positions among the requests, its issue-port grants, the timestamps
+// it wrote relative to A, and its TimingStats deltas. A hit makes the
+// requests through the unchanged MemorySystem with this unit's own
+// addresses, in order; a response that differs switches to another
+// recorded sequence that got the same responses so far (both made the
+// same requests up to there), and when none matches, the unit is timed in
+// detail from its unchanged entry state, with a cursor handing back the
+// responses already served, and recorded. So MemorySystem sees exactly
+// the calls of a detailed run, nothing is rolled back, and markers take
+// the live memory counters at their recorded positions. When every
+// response matches, the recorded exit state is installed shifted by A,
+// the issue-port grants are replayed in order (which moves the port's
+// window as the claims did) and the fetch port advances by the unit's
+// length from its own state. What the unit does not write stays as it
+// is. The memo holds 2048 keys per TimingSim and is never shared.
+//
 // See docs/simplifications.md for the deliberate simplifications.
 #pragma once
 
@@ -90,6 +145,15 @@ struct TimingStats {
   }
 };
 
+/// How the unit memo fared over one run. Diagnostics only: the timing is
+/// the same whatever these read.
+struct MemoStats {
+  std::uint64_t units_keyed = 0;     ///< units looked up
+  std::uint64_t units_replayed = 0;  ///< lookups whose recorded timing was installed
+  std::uint64_t units_retimed = 0;   ///< key matches whose memory responses differed
+  std::uint64_t instructions_replayed = 0;
+};
+
 /// Timing simulator for one program execution.
 class TimingSim {
  public:
@@ -106,6 +170,7 @@ class TimingSim {
   [[nodiscard]] const TimingStats& stats() const { return stats_; }
   [[nodiscard]] const std::vector<MarkerEvent>& markers() const { return markers_; }
   [[nodiscard]] const ProcessorConfig& config() const { return config_; }
+  [[nodiscard]] const MemoStats& memo_stats() const { return memo_stats_; }
 
  private:
   const Program& program_;
@@ -113,6 +178,7 @@ class TimingSim {
   ProcessorConfig config_;
   TimingStats stats_;
   std::vector<MarkerEvent> markers_;
+  MemoStats memo_stats_;
   bool ran_ = false;
 };
 
