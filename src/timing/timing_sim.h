@@ -38,8 +38,10 @@
 // Unit memo. Loop bodies recur as the same block from the same pipeline
 // state, give or take a shift in time, so each run keeps a memo of whole
 // units (timing/unit_memo.h; FastSim-style memoization after Schnarr and
-// Larus, ASPLOS 1998). A unit of at least 24 instructions whose slot has
-// started a unit before is keyed by
+// Larus, ASPLOS 1998). Past the run's first 2^18 instructions (shorter
+// runs, such as sampled miniatures, would record more than they replay),
+// a unit of at least 24 instructions whose slot has started a unit before
+// is keyed by
 //   * its slot and length;
 //   * the pipeline state it reads, relative to an anchor A: every register
 //     ready time it reads before writing, the slots it will claim of the
@@ -88,7 +90,8 @@
 // the issue-port grants are replayed in order (which moves the port's
 // window as the claims did) and the fetch port advances by the unit's
 // length from its own state. What the unit does not write stays as it
-// is. The memo holds 2048 keys per TimingSim and is never shared.
+// is. A key is recorded on its second miss, since most keys never
+// recur. The memo holds 2048 keys per TimingSim and is never shared.
 //
 // See docs/simplifications.md for the deliberate simplifications.
 #pragma once

@@ -721,6 +721,26 @@ std::string timing_golden_csv() {
   return out;
 }
 
+// The golden pins what the memo must reproduce; this pins that it engages:
+// a looped program replays units past the warm-up, and a short one keys
+// nothing.
+TEST(TimingMemo, ReplaysRepeatedUnitsPastTheWarmUp) {
+  const Program looped = timing_programs::pressure_program();
+  MainMemory mem;
+  timing::TimingSim sim(looped, mem, timing::ProcessorConfig{});
+  const timing::TimingStats& stats = sim.run();
+  const timing::MemoStats& memo = sim.memo_stats();
+  EXPECT_GT(memo.units_replayed, 0u);
+  EXPECT_GT(memo.instructions_replayed, stats.instructions / 5);
+  EXPECT_LE(memo.units_replayed + memo.units_retimed, memo.units_keyed);
+
+  const Program short_program = random_program(1);
+  MainMemory small_mem;
+  timing::TimingSim small(short_program, small_mem, timing::ProcessorConfig{});
+  (void)small.run();
+  EXPECT_EQ(small.memo_stats().units_keyed, 0u);
+}
+
 TEST(TimingGolden, EveryStatsFieldAndMarkerEventMatchesGolden) {
   const std::string path = std::string(INDEXMAC_GOLDEN_DIR) + "/timing_stats.csv";
   std::ifstream file(path, std::ios::binary);
