@@ -698,6 +698,16 @@ std::string timing_golden_csv() {
   for (const std::uint32_t seed : {1u, 2u, 3u, 4u})
     plain("repeat.looped_random." + std::to_string(seed),
           timing_programs::looped_random_program(seed));
+  {
+    using timing_programs::Late;
+    const std::pair<const char*, Late> lates[] = {
+        {"x", Late::kX},         {"f", Late::kF},
+        {"v", Late::kV},         {"vsetvli", Late::kVsetvli},
+        {"issue", Late::kIssue}, {"store_data", Late::kStoreData},
+        {"vector_loads", Late::kVectorLoads}, {"vector_stores", Late::kVectorStores}};
+    for (const auto& [name, late] : lates)
+      plain(std::string("repeat.late_") + name, timing_programs::late_value_program(late));
+  }
   // Each layer is sized to run past the model's 2^18-instruction memo warm-up.
   const std::pair<const char*, kernels::GemmDims> layers[] = {{"rowwise", {128, 256, 80}},
                                                                {"indexmac", {128, 256, 96}},

@@ -237,6 +237,109 @@ inline Program dram_stream_program() {
   return a.finish();
 }
 
+/// What late_value_program delays, and so which part of the model's state
+/// differs from one body to the next while the rest repeats.
+enum class Late {
+  kX,          ///< an x register the next body's first vector op reads
+  kF,          ///< an f register likewise
+  kV,          ///< a vector register the next body's first MAC reads
+  kVsetvli,    ///< the vsetvli every later vector op waits for
+  kIssue,      ///< a burst of ALU ops filling the issue ports of one cycle
+  kStoreData,  ///< the data of a store the next body's first load forwards
+  kVectorLoads,   ///< 16 vector loads' queue slots
+  kVectorStores,  ///< 16 vector stores' queue slots
+};
+
+/// One body per inner iteration: a consumer of the previous body's late
+/// value, a vector-to-scalar round trip that holds commit, then a late
+/// value whose latency follows a pseudo-random bit: a load forwarded from
+/// the store just before it or not, or vector accesses to fresh lines or
+/// hot ones. Only the state `late` names differs between bodies whose
+/// other state repeats.
+inline Program late_value_program(Late late) {
+  Assembler a;
+  const Assembler::Label outer = a.new_label();
+  const Assembler::Label inner = a.new_label();
+  a.li(x(1), static_cast<std::int64_t>(isa::kVlMax));
+  a.vsetvli_e32m1(x(0), x(1));
+  a.li(x(9), kData);               // the store's line; its next line is never stored
+  a.li(x(15), kData + 0x100000);   // fresh lines
+  a.li(x(19), kData + 0x1000);     // hot lines
+  a.li(x(11), 1103515245);
+  a.li(x(12), 1);
+  a.li(x(20), 3000);
+  a.bind(outer);
+  a.li(x(21), 4);
+  a.bind(inner);
+  switch (late) {
+    case Late::kX:
+      a.vmv_v_x(v(1), x(5));
+      a.vadd_vv(v(4), v(4), v(1));
+      break;
+    case Late::kF: a.vfmacc_vf(v(4), f(5), v(2)); break;
+    case Late::kV: a.vadd_vv(v(4), v(4), v(7)); break;
+    case Late::kIssue:
+      for (unsigned r = 22; r <= 29; ++r) a.addi(x(r), x(r), 1);
+      break;
+    case Late::kStoreData:
+      a.lw(x(17), x(9), 8);
+      a.vmv_v_x(v(1), x(17));
+      a.vadd_vv(v(4), v(4), v(1));
+      break;
+    default: a.vadd_vv(v(4), v(4), v(2)); break;
+  }
+  for (unsigned r = 22; r <= 29; ++r) a.addi(x(r), x(r), static_cast<std::int32_t>(r));
+  a.vredsum_vs(v(3), v(4), v(3));
+  a.vmv_x_s(x(6), v(3));
+  a.mul(x(12), x(12), x(11));  // x18: a pseudo-random bit
+  a.addi(x(12), x(12), 123);
+  a.srli(x(18), x(12), 20);
+  a.andi(x(18), x(18), 1);
+  a.slli(x(13), x(18), 6);
+  a.add(x(10), x(9), x(13));  // bit set: the line after the store's
+  a.sub(x(16), x(15), x(19));  // x16: bit set ? a fresh line : a hot one
+  a.mul(x(16), x(16), x(18));
+  a.add(x(16), x(16), x(19));
+  a.slli(x(17), x(18), 10);
+  a.add(x(15), x(15), x(17));
+  a.sw(x(8), x(9), 0);
+  switch (late) {
+    case Late::kX: a.lw(x(5), x(10), 0); break;
+    case Late::kF: a.flw(f(5), x(10), 0); break;
+    case Late::kV: a.vle32(v(7), x(16)); break;
+    case Late::kVsetvli:
+      a.lw(x(5), x(10), 0);
+      a.ori(x(16), x(5), 16);  // vl stays 16
+      a.vsetvli_e32m1(x(0), x(16));
+      break;
+    case Late::kIssue:
+      a.lw(x(5), x(10), 0);
+      for (unsigned k = 0; k < 16; ++k) a.add(x(16 + k % 4), x(5), x(0));
+      break;
+    case Late::kStoreData:
+      a.lw(x(5), x(10), 0);
+      a.sw(x(5), x(9), 8);
+      break;
+    case Late::kVectorLoads:
+    case Late::kVectorStores:
+      for (unsigned k = 0; k < 16; ++k) {
+        if (late == Late::kVectorLoads)
+          a.vle32(v(8 + k % 8), x(16));
+        else
+          a.vse32(v(4), x(16));
+        a.addi(x(16), x(16), 64);
+      }
+      break;
+  }
+  for (unsigned r = 22; r <= 27; ++r) a.xor_(x(r), x(r), x(6));
+  a.addi(x(21), x(21), -1);
+  a.bne(x(21), x(0), inner);
+  a.addi(x(20), x(20), -1);
+  a.bne(x(20), x(0), outer);
+  a.ebreak();
+  return a.finish();
+}
+
 /// A nested-loop random program: an outer loop over inner loops whose trip
 /// counts and branch outcomes follow a register LCG, with scalar
 /// loads/stores at data-dependent offsets, vector loads, gathers and MACs
