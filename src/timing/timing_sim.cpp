@@ -305,7 +305,6 @@ class Model {
     }
   }
 
-
   /// Units worth keying: past the run's warm-up, long enough, and at a
   /// slot a unit started at before.
   bool admits(const TraceUnit& unit) {
@@ -357,11 +356,10 @@ class Model {
     return false;
   }
 
-
   /// Times the unit in detail, logging its memory requests and markers,
-  /// and records the result as a timing of `entry` (or of a new way). The first
-  /// served_.size() requests take the responses a failed replay already
-  /// got from the memory system, so each request reaches it once.
+  /// and records the result as a timing of `entry` (or of a new way). The
+  /// first served_.size() requests take the responses a failed replay
+  /// already got from the memory system, so each request reaches it once.
   void record(const TraceUnit& unit, MemoEntry* entry, std::uint64_t hash,
               std::span<const std::uint16_t> key) {
     std::array<std::uint64_t, kUnitCounters> before;
@@ -628,11 +626,6 @@ class Model {
             &st.scalar_operand,     &st.branch_shadow,      &st.queue_full, &st.bandwidth};
   }
 
-  SlotUse use_of(std::size_t slot) const {
-    return slot_use(machine_.program().decoded()[slot], machine_.program().static_info()[slot],
-                    kinds_[slot]);
-  }
-
   /// The plan of `unit`'s slot and length, derived on first use.
   const UnitPlan& plan_for(const TraceUnit& unit) {
     std::int32_t& index = plan_of_[unit.slot];
@@ -651,6 +644,7 @@ class Model {
   /// its loads read, and the ops whose recorded values the key takes.
   /// Units with SSR ops, or a branch before the last op, are not keyable.
   UnitPlan make_plan(std::size_t slot, std::uint32_t count) const {
+    const Program& program = machine_.program();
     UnitPlan plan;
     plan.count = count;
     Footprint& fp = plan.footprint;
@@ -660,7 +654,8 @@ class Model {
     std::array<std::uint16_t, isa::kNumVRegs> writer{};  // per vreg: the op that last wrote it
     for (std::uint32_t i = 0; i < count; ++i) {
       const Kind kind = kinds_[slot + i];
-      const SlotUse use = use_of(slot + i);
+      const SlotUse use =
+          slot_use(program.decoded()[slot + i], program.static_info()[slot + i], kind);
       fp.x_read |= use.x_read & ~fp.x_written;
       fp.f_read |= use.f_read & ~fp.f_written;
       fp.v_read |= use.v_read & ~fp.v_written;
@@ -672,9 +667,9 @@ class Model {
         plan.vector = true;
       }
       const auto input = [&] {
-        const isa::StaticInstInfo& si = machine_.program().static_info()[slot + i];
+        const isa::StaticInstInfo& si = program.static_info()[slot + i];
         plan.inputs.push_back({static_cast<std::uint16_t>(i), kind, si.scalar_mem_bytes,
-                               machine_.program().decoded()[slot + i].imm,
+                               program.decoded()[slot + i].imm,
                                si.has(isa::kSiPackedIndex), fp.v_written,
                                static_cast<std::uint32_t>(plan.writers.size())});
         if (kind == Kind::kIndexMac || kind == Kind::kDualMac)
@@ -774,7 +769,8 @@ class Model {
           if (addr < hi && lo < addr + in.bytes) {
             if (ring_stores > kRing) {
               const auto next = store_ring_.begin() + static_cast<std::ptrdiff_t>(store_ring_next_);
-              std::copy(store_ring_.begin(), next, std::copy(next, store_ring_.end(), ring.begin()));
+              std::copy(store_ring_.begin(), next,
+                        std::copy(next, store_ring_.end(), ring.begin()));
               ring_stores = 0;
             }
             for (; ring_stores < unit_stores_.size(); ++ring_stores)
@@ -894,7 +890,8 @@ class Model {
     if (kind == Kind::kStore) {  // scalar stores write at commit
       const std::uint64_t addr = d.mem_addr();
       const std::uint32_t bytes = d.mem_bytes();
-      (void)request<kRecord>(0, commit + 1, [&] { return mem_.scalar_data(addr, bytes, true, commit + 1); });
+      (void)request<kRecord>(0, commit + 1,
+                             [&] { return mem_.scalar_data(addr, bytes, true, commit + 1); });
       lsq_.claim(commit + 1);
       store_ring_[store_ring_next_] = PendingStore{addr, bytes, ready};
       store_ring_next_ = (store_ring_next_ + 1) % store_ring_.size();
@@ -918,7 +915,8 @@ class Model {
         const std::uint64_t issue = claim_issue<kRecord>(std::max(avail, srcs));
         std::uint64_t done = forward_from_stores(addr, bytes, issue);
         if (done == 0)
-          done = request<kRecord>(0, issue + 1, [&] { return mem_.scalar_data(addr, bytes, false, issue + 1); });
+          done = request<kRecord>(
+              0, issue + 1, [&] { return mem_.scalar_data(addr, bytes, false, issue + 1); });
         lsq_.claim(done);
         if (kind == Kind::kLoadF)
           f_ready_[d.inst.rd] = done;
