@@ -29,8 +29,6 @@ constexpr std::uint32_t kMemoMinUnit = 24;
 constexpr std::uint64_t kMemoWarmup = std::uint64_t{1} << 18;
 /// Keys hold issue-port fills for at most this many cycles past the anchor.
 constexpr std::uint64_t kMemoMaxIssueSpan = 1024;
-/// Recent first misses remembered, so that only keys that recur are recorded.
-constexpr std::size_t kMemoMissTable = 1024;
 
 /// Recent scalar stores for store-to-load forwarding / disambiguation.
 struct PendingStore {
@@ -339,21 +337,8 @@ class Model {
         return;
       }
       ++memo_stats_.units_retimed;
-    } else if (!missed_before(hash)) {
-      time_ops(unit, unit.count);  // most keys never recur: record on the second miss
-      return;
     }
     record(unit, entry, hash, key);
-  }
-
-  /// Whether a key with `hash` missed the memo before (as far as a small
-  /// direct-mapped table of recent misses remembers); notes this miss.
-  bool missed_before(std::uint64_t hash) {
-    if (missed_.empty()) missed_.resize(kMemoMissTable);
-    std::uint64_t& slot = missed_[hash % kMemoMissTable];
-    if (slot == hash) return true;
-    slot = hash;
-    return false;
   }
 
   /// Times the unit in detail, logging its memory requests and markers,
@@ -848,13 +833,13 @@ class Model {
     return cycle;
   }
 
-  /// A memory access of the op being timed (gathers: of element `sub`)
-  /// starting at `start`, made by `call`, which must make what access()
-  /// makes for that op. Logged while a unit is being recorded.
-  template <bool kRecord, typename Call>
-  std::uint64_t request(std::uint32_t sub, std::uint64_t start, Call&& call) {
-    if constexpr (!kRecord) return call();
-    const std::uint64_t done = cursor_ < served_.size() ? served_[cursor_++] : call();
+  /// The memory access of op `d` (gathers: of element `sub`) starting at
+  /// `start`, as access() makes it; logged while a unit is being recorded.
+  template <bool kRecord>
+  std::uint64_t request(const OpView& d, Kind kind, std::uint32_t sub, std::uint64_t start) {
+    if constexpr (!kRecord) return access(d, kind, sub, start);
+    const std::uint64_t done =
+        cursor_ < served_.size() ? served_[cursor_++] : access(d, kind, sub, start);
     rec_fits_ &= done - anchor_ <= 0xffff;  // start <= done
     rec_requests_.push_back(MemoRequest{static_cast<std::uint16_t>(cur_op_),
                                         static_cast<std::uint16_t>(sub),
@@ -890,8 +875,7 @@ class Model {
     if (kind == Kind::kStore) {  // scalar stores write at commit
       const std::uint64_t addr = d.mem_addr();
       const std::uint32_t bytes = d.mem_bytes();
-      (void)request<kRecord>(0, commit + 1,
-                             [&] { return mem_.scalar_data(addr, bytes, true, commit + 1); });
+      (void)request<kRecord>(d, kind, 0, commit + 1);
       lsq_.claim(commit + 1);
       store_ring_[store_ring_next_] = PendingStore{addr, bytes, ready};
       store_ring_next_ = (store_ring_next_ + 1) % store_ring_.size();
@@ -914,9 +898,7 @@ class Model {
         const std::uint64_t avail = lsq_.available(disp);
         const std::uint64_t issue = claim_issue<kRecord>(std::max(avail, srcs));
         std::uint64_t done = forward_from_stores(addr, bytes, issue);
-        if (done == 0)
-          done = request<kRecord>(
-              0, issue + 1, [&] { return mem_.scalar_data(addr, bytes, false, issue + 1); });
+        if (done == 0) done = request<kRecord>(d, kind, 0, issue + 1);
         lsq_.claim(done);
         if (kind == Kind::kLoadF)
           f_ready_[d.inst.rd] = done;
@@ -1055,9 +1037,7 @@ class Model {
         std::uint64_t done = e_issue + 1;
         for (std::uint32_t i = 0; i < d.vl; ++i) {
           const std::uint64_t start = e_issue + 1 + gather_slot_[i];
-          done = std::max(done, request<kRecord>(i, start, [&] {
-                            return mem_.vector_data(d.gather_addr(i), 4, false, start);
-                          }));
+          done = std::max(done, request<kRecord>(d, kind, i, start));
         }
         vlq_.claim(done);
         v_ready_[d.inst.rd] = done;
@@ -1069,9 +1049,8 @@ class Model {
       case Kind::kVLoad: {
         e_issue = std::max(e_issue, vlq_.available(e_issue));
         const std::uint32_t bytes = d.mem_bytes();
-        const std::uint64_t done = bytes == 0 ? e_issue + 1 : request<kRecord>(0, e_issue + 1, [&] {
-          return mem_.vector_data(d.mem_addr(), bytes, false, e_issue + 1);
-        });
+        const std::uint64_t done =
+            bytes == 0 ? e_issue + 1 : request<kRecord>(d, kind, 0, e_issue + 1);
         vlq_.claim(done);
         v_ready_[d.inst.rd] = done;
         ++stats_.vector_loads;
@@ -1080,9 +1059,8 @@ class Model {
       case Kind::kVStore: {
         e_issue = std::max(e_issue, vsq_.available(e_issue));
         const std::uint32_t bytes = d.mem_bytes();
-        const std::uint64_t done = bytes == 0 ? e_issue + 1 : request<kRecord>(0, e_issue + 1, [&] {
-          return mem_.vector_data(d.mem_addr(), bytes, true, e_issue + 1);
-        });
+        const std::uint64_t done =
+            bytes == 0 ? e_issue + 1 : request<kRecord>(d, kind, 0, e_issue + 1);
         vsq_.claim(done);
         ++stats_.vector_stores;
         break;
@@ -1179,7 +1157,6 @@ class Model {
   std::vector<std::uint16_t> key_;
   std::vector<std::uint16_t> exit_;
   Footprint footprint_;                    ///< the keyed unit's
-  std::vector<std::uint64_t> missed_;      ///< hashes of recent first misses
   std::vector<std::int32_t> plan_of_;      ///< per slot: its plan in plans_, or -1
   std::vector<UnitPlan> plans_;
   std::size_t key_len_ = 0;                ///< words of key_ in use

@@ -90,8 +90,7 @@
 // the issue-port grants are replayed in order (which moves the port's
 // window as the claims did) and the fetch port advances by the unit's
 // length from its own state. What the unit does not write stays as it
-// is. A key is recorded on its second miss, since most keys never
-// recur. The memo holds 2048 keys per TimingSim and is never shared.
+// is. The memo holds 2048 keys per TimingSim and is never shared.
 //
 // See docs/simplifications.md for the deliberate simplifications.
 #pragma once
