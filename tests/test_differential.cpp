@@ -708,6 +708,22 @@ std::string timing_golden_csv() {
     for (const auto& [name, late] : lates)
       plain(std::string("repeat.late_") + name, timing_programs::late_value_program(late));
   }
+  // Programs whose repeats differ in one part of the memo's key alone, where
+  // that part binds the timing: dropping the part from the key changes
+  // their rows. By seed: 11 the fetch state (and its "behind" threshold),
+  // 58 the commit port's fill, 101 the ROB slots and the last commit, 116
+  // the issue ports' fills, 135 the engine's next issue, 139 the vector
+  // queue slots and the last vector send, 359 the LSQ slots; then the last
+  // branch resolve and the last vsetvli, and the store ring's data-ready
+  // cycles.
+  const std::pair<std::uint32_t, int> segments[] = {
+      {11, 5600}, {58, 2080}, {101, 2000}, {116, 1900}, {135, 2030}, {139, 2520}, {359, 1930}};
+  for (const auto& [seed, iters] : segments)
+    plain("repeat.segments." + std::to_string(seed),
+          timing_programs::segment_loop_program(seed, iters));
+  plain("repeat.swapped_branch", timing_programs::swapped_late_program(false, 4, 4, 2480, false));
+  plain("repeat.swapped_vsetvli", timing_programs::swapped_late_program(true, 6, 4, 2160, true));
+  plain("repeat.late_store", timing_programs::late_store_program(4, 2580));
   // Each layer is sized to run past the model's 2^18-instruction memo warm-up.
   const std::pair<const char*, kernels::GemmDims> layers[] = {{"rowwise", {128, 256, 80}},
                                                                {"indexmac", {128, 256, 96}},

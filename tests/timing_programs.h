@@ -6,8 +6,11 @@
 // table. Each loop body is one or a few threaded-engine blocks of at least
 // 24 instructions, run many times from an outer loop whose inner-loop exit
 // mispredicts, so the same unit recurs at the same slot with varied state.
-// Each program runs 300k to 500k instructions: the timing model replays
+// Each program runs 300k to 800k instructions: the timing model replays
 // repeated units only past its first 2^18 instructions (timing_sim.cpp).
+// Past that point, for each part of the memo's key, some program here
+// repeats a unit whose state differs in that part alone and binds its
+// timing (the comment at each program's golden rows names which).
 // Pinned by the timing golden (test_differential.cpp).
 #pragma once
 
@@ -333,6 +336,356 @@ inline Program late_value_program(Late late) {
   }
   for (unsigned r = 22; r <= 27; ++r) a.xor_(x(r), x(r), x(6));
   a.addi(x(21), x(21), -1);
+  a.bne(x(21), x(0), inner);
+  a.addi(x(20), x(20), -1);
+  a.bne(x(20), x(0), outer);
+  a.ebreak();
+  return a.finish();
+}
+
+/// A seeded loop body of segments that each vary or consume one part of
+/// the pipeline state: loads forwarded from a store or not, vector loads
+/// to fresh or hot lines, issue bursts, vector-to-scalar round trips, mul
+/// chains, vsetvli and vector sends waiting on a late scalar, stores a
+/// later body loads, LSQ-filling loads, markers and a forward branch to
+/// the next op on a pseudo-random bit (mispredicted when taken), and a
+/// loop branch that may wait on the late value. Seeds are picked so that
+/// each program's repeats differ in one part of the state at a time.
+inline Program segment_loop_program(std::uint32_t seed, int outer_iters) {
+  std::mt19937 rng(seed);
+  auto pick = [&rng](int lo, int hi) { return std::uniform_int_distribution<int>(lo, hi)(rng); };
+  Assembler a;
+  const Assembler::Label outer = a.new_label();
+  const Assembler::Label inner = a.new_label();
+  a.li(x(1), static_cast<std::int64_t>(isa::kVlMax));
+  a.vsetvli_e32m1(x(0), x(1));
+  a.li(x(9), kData);
+  a.li(x(15), kData + 0x100000);
+  a.li(x(19), kData + 0x1000);
+  a.li(x(11), 1103515245);
+  a.li(x(12), seed * 3 + 1);
+  a.li(x(20), outer_iters);
+  a.li(x(16), kData + 0x2000);
+  const int inner_iters = pick(2, 6);
+  a.bind(outer);
+  a.li(x(21), inner_iters);
+  a.bind(inner);
+  int n = 0;
+  const int segs = pick(5, 12);
+  XReg late = x(5);
+  bool branched = false;
+  for (int s = 0; s < segs || n < 26; ++s) {
+    switch (pick(0, 22)) {
+      case 0: {  // fresh bit and a forwarded-or-hit load
+        a.mul(x(12), x(12), x(11));
+        a.addi(x(12), x(12), 123);
+        a.srli(x(18), x(12), pick(16, 24));
+        a.andi(x(18), x(18), 1);
+        a.slli(x(13), x(18), 6);
+        a.add(x(10), x(9), x(13));
+        a.sw(x(8), x(9), 0);
+        late = x(static_cast<unsigned>(pick(0, 1) ? 5 : 17));
+        a.lw(late, x(10), 0);
+        n += 8;
+        break;
+      }
+      case 1: {  // fresh-or-hot vector load
+        a.mul(x(12), x(12), x(11));
+        a.addi(x(12), x(12), 123);
+        a.srli(x(18), x(12), pick(16, 24));
+        a.andi(x(18), x(18), 1);
+        a.sub(x(16), x(15), x(19));
+        a.mul(x(16), x(16), x(18));
+        a.add(x(16), x(16), x(19));
+        a.slli(x(17), x(18), 10);
+        a.add(x(15), x(15), x(17));
+        a.vle32(v(static_cast<unsigned>(pick(7, 8))), x(16));
+        n += 10;
+        break;
+      }
+      case 2: {  // issue burst on the late value
+        const int k = pick(8, 17);
+        for (int i = 0; i < k; ++i) a.add(x(static_cast<unsigned>(22 + i % 6)), late, x(0));
+        n += k;
+        break;
+      }
+      case 3:  // vector-to-scalar round trip
+        a.vredsum_vs(v(3), v(static_cast<unsigned>(pick(4, 8))), v(3));
+        a.vmv_x_s(x(6), v(3));
+        late = x(6);
+        n += 2;
+        break;
+      case 4: {  // mul chain
+        const int k = pick(1, 4);
+        const XReg r = x(static_cast<unsigned>(pick(0, 1) ? 7 : 14));
+        a.mul(r, late, late);
+        for (int i = 1; i < k; ++i) a.mul(r, r, r);
+        late = r;
+        n += k;
+        break;
+      }
+      case 5: {  // independent ALU
+        const int k = pick(2, 10);
+        for (int i = 0; i < k; ++i)
+          a.addi(x(static_cast<unsigned>(22 + i % 8)), x(static_cast<unsigned>(22 + i % 8)), i + 1);
+        n += k;
+        break;
+      }
+      case 6: {  // vector work
+        const int k = pick(1, 6);
+        for (int i = 0; i < k; ++i) {
+          const unsigned d = static_cast<unsigned>(pick(4, 6));
+          if (pick(0, 1))
+            a.vadd_vv(v(d), v(d), v(static_cast<unsigned>(pick(1, 8))));
+          else
+            a.vmul_vv(v(d), v(d), v(static_cast<unsigned>(pick(1, 8))));
+        }
+        n += k;
+        break;
+      }
+      case 7:  // vector op on the late scalar
+        a.vmv_v_x(v(1), late);
+        n += 1;
+        break;
+      case 8:  // vsetvli that waits on the late value (vl stays 16)
+        a.ori(x(16), late, 16);
+        a.andi(x(16), x(16), 16);
+        a.vsetvli_e32m1(x(0), x(16));
+        n += 3;
+        break;
+      case 9:  // store of the late value, loaded back by a later body
+        a.sw(late, x(9), 8);
+        n += 1;
+        break;
+      case 10:  // load the stored value back
+        a.lw(x(17), x(9), 8);
+        late = x(17);
+        n += 1;
+        break;
+      case 11: {  // vector stores/loads to hot or fresh lines
+        const int k = pick(2, 16);
+        const bool st = pick(0, 1);
+        for (int i = 0; i < k; ++i) {
+          if (st)
+            a.vse32(v(4), x(16));
+          else
+            a.vle32(v(static_cast<unsigned>(9 + i % 6)), x(16));
+          a.addi(x(16), x(16), 64);
+        }
+        n += 2 * k;
+        break;
+      }
+      case 12: {  // scalar loads from hot lines (LSQ pressure)
+        const int k = pick(2, 18);
+        for (int i = 0; i < k; ++i) a.ld(x(static_cast<unsigned>(3 + i % 2)), x(19), 8 * i);
+        n += k;
+        break;
+      }
+      case 13:  // vmacc on the late vector
+        a.vmacc_vx(v(4), x(0), v(static_cast<unsigned>(pick(7, 8))));
+        n += 1;
+        break;
+      case 14: {  // loads forwarded or not, filling the LSQ
+        a.mul(x(12), x(12), x(11));
+        a.addi(x(12), x(12), 123);
+        a.srli(x(18), x(12), pick(16, 24));
+        a.andi(x(18), x(18), 1);
+        a.slli(x(13), x(18), 6);
+        a.add(x(10), x(9), x(13));
+        a.sw(x(8), x(9), 0);
+        const int k = pick(4, 18);
+        for (int i = 0; i < k; ++i) a.lw(x(static_cast<unsigned>(3 + i % 2)), x(10), 0);
+        n += 7 + k;
+        break;
+      }
+      case 15: {  // two loads, one forwarded: their latencies swap with the bit
+        a.mul(x(12), x(12), x(11));
+        a.addi(x(12), x(12), 123);
+        a.srli(x(18), x(12), pick(16, 24));
+        a.andi(x(18), x(18), 1);
+        a.slli(x(13), x(18), 6);
+        a.add(x(10), x(9), x(13));
+        a.xori(x(13), x(13), 64);
+        a.add(x(13), x(9), x(13));
+        a.sw(x(8), x(9), 0);
+        a.lw(x(5), x(10), 0);
+        a.lw(x(17), x(13), 0);
+        n += 11;
+        if (pick(0, 1)) {
+          a.sw(x(5), x(9), 8);
+          a.add(x(25), x(17), x(0));
+          n += 2;
+        }
+        late = x(5);
+        break;
+      }
+      case 16:  // a load of what an earlier body stored
+        a.lw(x(17), x(9), 8);
+        a.add(x(25), x(17), x(0));
+        n += 2;
+        break;
+      case 17: {  // independent no-ops
+        const int k = pick(1, 6);
+        for (int i = 0; i < k; ++i) a.addi(x(0), x(0), 0);
+        n += k;
+        break;
+      }
+      case 18: {  // vector sends waiting on the late scalar
+        const int k = pick(1, 8);
+        for (int i = 0; i < k; ++i) a.vadd_vx(v(static_cast<unsigned>(4 + i % 3)), v(2), late);
+        n += k;
+        break;
+      }
+      case 20: {  // a data-dependent forward branch: mispredicted when taken
+        a.mul(x(12), x(12), x(11));
+        a.addi(x(12), x(12), 123);
+        a.srli(x(18), x(12), pick(16, 24));
+        a.andi(x(18), x(18), 1);
+        const Assembler::Label skip = a.new_label();
+        a.beq(x(18), x(0), skip);
+        const int k = pick(1, 4);
+        for (int i = 0; i < k; ++i) a.addi(x(static_cast<unsigned>(22 + i)), x(static_cast<unsigned>(22 + i)), 1);
+        a.bind(skip);
+        n += 5 + k;
+        break;
+      }
+      case 21:
+      case 22: {  // a forward branch to the next op on the bit: mispredicted when taken
+        if (branched) break;
+        branched = true;
+        a.mul(x(12), x(12), x(11));
+        a.addi(x(12), x(12), 123);
+        a.srli(x(18), x(12), pick(16, 24));
+        a.andi(x(18), x(18), 1);
+        XReg c = x(18);
+        if (pick(0, 1)) {  // resolved late
+          a.and_(x(29), late, x(0));
+          a.add(x(29), x(29), x(18));
+          c = x(29);
+          n += 2;
+        }
+        const Assembler::Label next = a.new_label();
+        a.beq(c, x(0), next);
+        a.bind(next);
+        n += 5;
+        break;
+      }
+      case 19:  // round trip on a fixed vector
+        a.vmv_x_s(x(6), v(2));
+        late = x(6);
+        n += 1;
+        break;
+    }
+  }
+  a.addi(x(21), x(21), -1);
+  if (pick(0, 2) == 0) {  // the loop branch waits on the late value
+    a.and_(x(29), late, x(0));
+    a.add(x(30), x(21), x(29));
+    a.bne(x(30), x(0), inner);
+  } else {
+    a.bne(x(21), x(0), inner);
+  }
+  a.addi(x(20), x(20), -1);
+  a.bne(x(20), x(0), outer);
+  a.ebreak();
+  return a.finish();
+}
+
+/// Two loads whose latencies swap on a pseudo-random bit (one forwarded
+/// from a store, one not) feed two chains of the same shape, so the issue
+/// ports fill the same either way; one chain ends in the loop branch
+/// (`vsetvli` false) or in a vsetvli that keeps vl at 16. A mul chain
+/// started before them holds commit past both, and with `vector_mask` a
+/// vector op on its result sets the vector send and engine state. So
+/// between bodies only the branch-resolve or vsetvli cycle differs, and
+/// the next body's first vector op waits on it.
+inline Program swapped_late_program(bool vsetvli, int mask_muls, int filler, int outer_iters,
+                                    bool vector_mask) {
+  Assembler a;
+  const Assembler::Label outer = a.new_label();
+  const Assembler::Label inner = a.new_label();
+  a.li(x(1), static_cast<std::int64_t>(isa::kVlMax));
+  a.vsetvli_e32m1(x(0), x(1));
+  a.li(x(9), kData);
+  a.li(x(16), kData + 64);
+  a.li(x(11), 1103515245);
+  a.li(x(12), 7);
+  a.li(x(20), outer_iters);
+  a.bind(outer);
+  a.li(x(21), 5);
+  a.bind(inner);
+  a.vadd_vv(v(4), v(2), v(2));
+  a.mul(x(12), x(12), x(11));
+  a.addi(x(12), x(12), 123);
+  a.srli(x(18), x(12), 20);
+  a.andi(x(18), x(18), 1);
+  a.mul(x(7), x(12), x(12));
+  for (int i = 1; i < mask_muls; ++i) a.mul(x(7), x(7), x(7));
+  a.slli(x(13), x(18), 6);
+  a.add(x(10), x(9), x(13));   // bit clear: the store's word
+  a.sub(x(13), x(16), x(13));  // bit set: the store's word
+  a.sw(x(8), x(9), 0);
+  a.lw(x(5), x(10), 0);
+  a.lw(x(17), x(13), 0);
+  a.addi(x(21), x(21), -1);
+  for (int i = 0; i < filler; ++i)
+    a.addi(x(static_cast<unsigned>(22 + i % 4)), x(static_cast<unsigned>(22 + i % 4)), 1);
+  a.and_(x(28), x(17), x(0));  // the mirror chain
+  a.add(x(27), x(21), x(28));
+  a.add(x(26), x(27), x(0));
+  if (vector_mask) a.vmv_v_x(v(1), x(7));
+  a.and_(x(29), x(5), x(0));
+  if (vsetvli) {
+    a.ori(x(30), x(29), 16);
+    a.vsetvli_e32m1(x(0), x(30));
+    a.bne(x(21), x(0), inner);
+  } else {
+    a.add(x(30), x(21), x(29));
+    a.bne(x(30), x(0), inner);
+  }
+  a.addi(x(20), x(20), -1);
+  a.bne(x(20), x(0), outer);
+  a.ebreak();
+  return a.finish();
+}
+
+/// A store whose data is late by one of two mul chains, swapped on a
+/// pseudo-random bit (the loads feeding them: one forwarded from a store,
+/// one not), with a mirror op on the other chain so the issue ports fill
+/// the same either way. The next body first loads the stored word, which
+/// forwards from the store: only the store's data-ready cycle differs.
+inline Program late_store_program(int muls, int outer_iters) {
+  Assembler a;
+  const Assembler::Label outer = a.new_label();
+  const Assembler::Label inner = a.new_label();
+  a.li(x(9), kData);
+  a.li(x(16), kData + 64);
+  a.li(x(11), 1103515245);
+  a.li(x(12), 7);
+  a.li(x(20), outer_iters);
+  a.bind(outer);
+  a.li(x(21), 5);
+  a.bind(inner);
+  a.lw(x(3), x(9), 8);
+  a.add(x(24), x(3), x(3));
+  a.mul(x(12), x(12), x(11));
+  a.addi(x(12), x(12), 123);
+  a.srli(x(18), x(12), 20);
+  a.andi(x(18), x(18), 1);
+  a.slli(x(13), x(18), 6);
+  a.add(x(10), x(9), x(13));
+  a.sub(x(13), x(16), x(13));
+  a.sw(x(8), x(9), 0);
+  a.lw(x(5), x(10), 0);
+  a.lw(x(17), x(13), 0);
+  for (int i = 0; i < muls; ++i) {
+    a.mul(x(5), x(5), x(5));
+    a.mul(x(17), x(17), x(17));
+  }
+  a.addi(x(21), x(21), -1);
+  a.sw(x(5), x(9), 8);
+  a.add(x(25), x(17), x(0));  // the mirror
+  a.add(x(26), x(5), x(17));
   a.bne(x(21), x(0), inner);
   a.addi(x(20), x(20), -1);
   a.bne(x(20), x(0), outer);
