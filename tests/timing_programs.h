@@ -536,6 +536,11 @@ inline Program segment_loop_program(std::uint32_t seed, int outer_iters) {
         n += k;
         break;
       }
+      case 19:  // round trip on a fixed vector
+        a.vmv_x_s(x(6), v(2));
+        late = x(6);
+        n += 1;
+        break;
       case 20: {  // a data-dependent forward branch: mispredicted when taken
         a.mul(x(12), x(12), x(11));
         a.addi(x(12), x(12), 123);
@@ -544,7 +549,8 @@ inline Program segment_loop_program(std::uint32_t seed, int outer_iters) {
         const Assembler::Label skip = a.new_label();
         a.beq(x(18), x(0), skip);
         const int k = pick(1, 4);
-        for (int i = 0; i < k; ++i) a.addi(x(static_cast<unsigned>(22 + i)), x(static_cast<unsigned>(22 + i)), 1);
+        for (int i = 0; i < k; ++i)
+          a.addi(x(static_cast<unsigned>(22 + i)), x(static_cast<unsigned>(22 + i)), 1);
         a.bind(skip);
         n += 5 + k;
         break;
@@ -570,11 +576,6 @@ inline Program segment_loop_program(std::uint32_t seed, int outer_iters) {
         n += 5;
         break;
       }
-      case 19:  // round trip on a fixed vector
-        a.vmv_x_s(x(6), v(2));
-        late = x(6);
-        n += 1;
-        break;
     }
   }
   a.addi(x(21), x(21), -1);
